@@ -16,7 +16,7 @@
 //!   bench binaries too.
 //!
 //! Run from the repository root: `cargo run -p ppa_bench --release --bin
-//! cancellation [--reps N] [--out PATH]`.
+//! cancellation_bench [--reps N] [--out PATH]`.
 
 use ppa_assembler::pipeline::{GraphState, Pipeline, PipelineError};
 use ppa_assembler::AssemblyConfig;

@@ -25,8 +25,16 @@
 //!    exactly as the paper prescribes.
 //!
 //! The final label of a vertex is the smaller of its two contig-end IDs.
+//!
+//! **Dense job IDs.** The job never routes by the 64-bit k-mer IDs. It runs on
+//! the vertices' ranks in an `IdTable` (a monotone renumbering, so every
+//! "smaller ID" comparison comes out the same), with bit 31 of a rank as the
+//! flip bit. A message record is then 16 bytes instead of 32, and its dense
+//! keys sort in fewer radix passes. The results are mapped back to 64-bit IDs
+//! in the order a `u64`-keyed vertex set would have produced them, which
+//! contig merging depends on.
 
-use crate::ids::{flip, is_flipped, unflip};
+use crate::ids::IdTable;
 use crate::node::{AsmNode, VertexType};
 use crate::polarity::Side;
 use ppa_pregel::aggregate::Count;
@@ -54,17 +62,36 @@ pub struct LabelOutcome {
 const LEFT: usize = 0;
 const RIGHT: usize = 1;
 
-/// Per-vertex state of the list-ranking program.
-#[derive(Debug, Clone)]
+/// Marks a pointer that has reached a contig end. Ranks stay below 2^31
+/// ([`IdTable::MAX_LEN`]), so the bit is free.
+const FLIP: u32 = 1 << 31;
+
+#[inline]
+fn flip(rank: u32) -> u32 {
+    rank | FLIP
+}
+
+#[inline]
+fn unflip(rank: u32) -> u32 {
+    rank & !FLIP
+}
+
+#[inline]
+fn is_flipped(rank: u32) -> bool {
+    rank & FLIP != 0
+}
+
+/// Per-vertex state of the list-ranking program (all IDs are ranks).
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct LrState {
     vtype: VertexType,
     /// Neighbour on each side (`[left, right]`), if any.
-    neighbor: [Option<u64>; 2],
+    neighbor: [Option<u32>; 2],
     /// All neighbours — used by ambiguous vertices for the superstep-0
     /// broadcast (an ⟨m-n⟩ vertex can have more than one neighbour per side).
-    broadcast: Vec<u64>,
-    /// Current pointer per side; flipped IDs mark a reached contig end.
-    ptr: [u64; 2],
+    broadcast: Vec<u32>,
+    /// Current pointer per side; flipped ranks mark a reached contig end.
+    ptr: [u32; 2],
     /// Whether the pointer on each side has reached a contig end.
     done: [bool; 2],
 }
@@ -116,19 +143,19 @@ impl SpillCodec for LrState {
         for slot in &mut neighbor {
             *slot = match u8::decode(buf)? {
                 0 => None,
-                1 => Some(u64::decode(buf)?),
+                1 => Some(u32::decode(buf)?),
                 _ => return None,
             };
         }
         let len = u64::decode(buf)? as usize;
-        if buf.len() < len.checked_mul(8)? {
+        if buf.len() < len.checked_mul(4)? {
             return None;
         }
         let mut broadcast = Vec::with_capacity(len);
         for _ in 0..len {
-            broadcast.push(u64::decode(buf)?);
+            broadcast.push(u32::decode(buf)?);
         }
-        let ptr = [u64::decode(buf)?, u64::decode(buf)?];
+        let ptr = [u32::decode(buf)?, u32::decode(buf)?];
         let done = [bool::decode(buf)?, bool::decode(buf)?];
         Some(LrState {
             vtype,
@@ -161,25 +188,25 @@ impl SpillCodec for LrMsg {
 
     fn decode(buf: &mut &[u8]) -> Option<Self> {
         match u8::decode(buf)? {
-            0 => Some(LrMsg::Ambiguous(u64::decode(buf)?)),
-            1 => Some(LrMsg::Request(u64::decode(buf)?)),
+            0 => Some(LrMsg::Ambiguous(u32::decode(buf)?)),
+            1 => Some(LrMsg::Request(u32::decode(buf)?)),
             2 => Some(LrMsg::Response {
-                responder: u64::decode(buf)?,
-                other: u64::decode(buf)?,
+                responder: u32::decode(buf)?,
+                other: u32::decode(buf)?,
             }),
             _ => None,
         }
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 enum LrMsg {
     /// Superstep 0: "I am ambiguous" broadcast (carries the sender ID).
-    Ambiguous(u64),
+    Ambiguous(u32),
     /// "Send me your other pointer" (carries the requester ID).
-    Request(u64),
+    Request(u32),
     /// Reply to a request: the responder's ID and its other pointer.
-    Response { responder: u64, other: u64 },
+    Response { responder: u32, other: u32 },
 }
 
 struct LrProgram {
@@ -201,7 +228,7 @@ impl LrProgram {
 }
 
 impl VertexProgram for LrProgram {
-    type Id = u64;
+    type Id = u32;
     type Value = LrState;
     type Message = LrMsg;
     type Aggregate = Count;
@@ -213,7 +240,7 @@ impl VertexProgram for LrProgram {
     fn compute(
         &self,
         ctx: &mut Context<'_, Self>,
-        id: u64,
+        id: u32,
         value: &mut LrState,
         messages: &mut [LrMsg],
     ) {
@@ -238,19 +265,13 @@ impl VertexProgram for LrProgram {
 
         if superstep == 1 {
             // Initialise the ID pair from the superstep-0 broadcasts.
-            let ambiguous_neighbors: Vec<u64> = messages
-                .iter()
-                .filter_map(|m| {
-                    if let LrMsg::Ambiguous(a) = m {
-                        Some(*a)
-                    } else {
-                        None
-                    }
-                })
-                .collect();
             for side in [LEFT, RIGHT] {
                 match value.neighbor[side] {
-                    Some(n) if !ambiguous_neighbors.contains(&n) => {
+                    Some(n)
+                        if !messages
+                            .iter()
+                            .any(|m| matches!(m, LrMsg::Ambiguous(a) if *a == n)) =>
+                    {
                         value.ptr[side] = n;
                         value.done[side] = false;
                     }
@@ -341,28 +362,38 @@ impl VertexProgram for LrProgram {
     }
 }
 
-/// Builds the per-vertex labeling state from the assembly nodes.
-pub(crate) fn build_lr_states(nodes: &[AsmNode]) -> impl Iterator<Item = (u64, LrState)> + '_ {
-    nodes.iter().map(|node| {
-        let vtype = node.vertex_type();
-        let left = node.sole_edge_on(Side::Left).map(|e| e.neighbor);
-        let right = node.sole_edge_on(Side::Right).map(|e| e.neighbor);
-        let broadcast = if vtype == VertexType::Branch {
-            node.neighbor_ids()
-        } else {
-            vec![]
-        };
-        (
-            node.id,
-            LrState {
-                vtype,
-                neighbor: [left, right],
-                broadcast,
-                ptr: [flip(node.id), flip(node.id)],
-                done: [true, true],
-            },
-        )
-    })
+/// The labeling state of one node. Ambiguous vertices keep all their
+/// neighbours for the superstep-0 broadcast; the others only need the sole
+/// neighbour per side.
+fn lr_state(table: &IdTable, rank: u32, node: &AsmNode) -> LrState {
+    let vtype = node.vertex_type();
+    let side = |s| node.sole_edge_on(s).map(|e| table.rank(e.neighbor));
+    let broadcast = if vtype == VertexType::Branch {
+        node.real_edges().map(|e| table.rank(e.neighbor)).collect()
+    } else {
+        vec![]
+    };
+    LrState {
+        vtype,
+        neighbor: [side(Side::Left), side(Side::Right)],
+        broadcast,
+        ptr: [flip(rank), flip(rank)],
+        done: [true, true],
+    }
+}
+
+/// What list ranking concluded about one rank of the ID table.
+#[derive(Clone, Copy)]
+enum Outcome {
+    /// Not a node: the rank of an edge neighbour missing from the node list.
+    Absent,
+    Ambiguous,
+    /// Still unfinished when the job stopped: goes to the cycle fallback.
+    Unresolved,
+    /// Labelled by list ranking.
+    Path(u32),
+    /// Labelled by the cycle fallback.
+    Cycle(u32),
 }
 
 /// Labels every maximal unambiguous path using bidirectional list ranking,
@@ -380,49 +411,68 @@ pub fn label_contigs_lr_on(ctx: &ExecCtx, nodes: &[AsmNode]) -> LabelOutcome {
         .max_supersteps(4_000)
         .exec_ctx(ctx.clone());
     let program = LrProgram::new(nodes.len());
-    let mut set: VertexSet<u64, LrState> =
-        VertexSet::from_pairs(config.workers, build_lr_states(nodes));
+    let (table, states) = IdTable::map_graph(ctx, nodes, lr_state);
+    let mut set: VertexSet<u32, LrState> =
+        VertexSet::from_pairs(config.workers, states.into_iter().flatten());
 
     let mut metrics = ppa_pregel::run(&program, &config, &mut set);
     let stalled = program.stalled.load(Ordering::Relaxed);
 
-    let mut labels: Vec<(u64, u64)> = Vec::new();
-    let mut ambiguous: Vec<u64> = Vec::new();
-    let mut unresolved: Vec<(u64, LrState)> = Vec::new();
-    for (id, state) in set.into_pairs() {
-        match state.vtype {
-            VertexType::Branch => ambiguous.push(id),
+    let mut outcome = vec![Outcome::Absent; table.len()];
+    let mut unresolved: Vec<(u32, [Option<u32>; 2])> = Vec::new();
+    for (rank, state) in set.iter() {
+        outcome[rank as usize] = match state.vtype {
+            VertexType::Branch => Outcome::Ambiguous,
             _ if state.fully_done() => {
-                let label = unflip(state.ptr[LEFT]).min(unflip(state.ptr[RIGHT]));
-                labels.push((id, label));
+                Outcome::Path(unflip(state.ptr[LEFT]).min(unflip(state.ptr[RIGHT])))
             }
-            _ => unresolved.push((id, state)),
-        }
+            _ => {
+                unresolved.push((rank, state.neighbor));
+                Outcome::Unresolved
+            }
+        };
     }
+    drop(set);
 
     // S-V fallback for unambiguous cycles (and any vertex the stall left
     // unresolved): label each with the smallest vertex ID of its component.
     let used_cycle_fallback = stalled || !unresolved.is_empty();
     if !unresolved.is_empty() {
-        let members: std::collections::HashSet<u64> =
-            unresolved.iter().map(|(id, _)| *id).collect();
-        let adjacency: Vec<(u64, Vec<u64>)> = unresolved
-            .iter()
-            .map(|(id, state)| {
-                let nbrs: Vec<u64> = state
-                    .neighbor
-                    .iter()
+        let adjacency: Vec<(u32, Vec<u32>)> = unresolved
+            .into_iter()
+            .map(|(rank, neighbor)| {
+                let nbrs = neighbor
+                    .into_iter()
                     .flatten()
-                    .copied()
-                    .filter(|n| members.contains(n))
+                    .filter(|&n| matches!(outcome[n as usize], Outcome::Unresolved))
                     .collect();
-                (*id, nbrs)
+                (rank, nbrs)
             })
             .collect();
         let (cc, sv_metrics) = connected_components(adjacency, &config);
         metrics.absorb(&sv_metrics);
-        labels.extend(cc);
+        for (rank, label) in cc {
+            outcome[rank as usize] = Outcome::Cycle(label);
+        }
     }
+
+    // Path labels, then cycle labels, each in `u64` partition order.
+    let mut labels =
+        table.in_partition_order(config.workers, |rank, id| match outcome[rank as usize] {
+            Outcome::Path(label) => Some((id, table.id(label))),
+            _ => None,
+        });
+    if used_cycle_fallback {
+        labels.extend(table.in_partition_order(config.workers, |rank, id| {
+            match outcome[rank as usize] {
+                Outcome::Cycle(label) => Some((id, table.id(label))),
+                _ => None,
+            }
+        }));
+    }
+    let ambiguous = table.in_partition_order(config.workers, |rank, id| {
+        matches!(outcome[rank as usize], Outcome::Ambiguous).then_some(id)
+    });
 
     LabelOutcome {
         labels,
@@ -439,6 +489,7 @@ pub(crate) mod tests {
     use crate::node::Edge;
     use crate::ops::construct::{build_dbg, ConstructConfig};
     use crate::polarity::{Direction, Polarity};
+    use ppa_readsim::{GenomeConfig, ReadSimConfig};
     use ppa_seq::{FastxRecord, Kmer, ReadSet};
     use std::collections::{HashMap, HashSet};
 
@@ -691,5 +742,197 @@ pub(crate) mod tests {
         let outcome = label_contigs_lr(&nodes, 1);
         assert_eq!(groups_of(&outcome).len(), 1);
         assert_eq!(outcome.labels.len(), 2);
+    }
+
+    /// The de Bruijn graph of error-bearing reads from a generated genome
+    /// with repeats: paths, branches, tips and bubbles.
+    pub(crate) fn generated_nodes(seed: u64) -> Vec<AsmNode> {
+        let genome = GenomeConfig {
+            length: 3_000,
+            repeat_families: 2,
+            repeat_copies: 3,
+            repeat_length: 40,
+            seed,
+            ..Default::default()
+        }
+        .generate();
+        let reads = ReadSimConfig {
+            read_length: 60,
+            coverage: 6.0,
+            substitution_rate: 0.01,
+            indel_rate: 0.0,
+            n_rate: 0.0,
+            both_strands: true,
+            seed: seed + 1,
+        }
+        .simulate(&genome);
+        build_dbg(
+            &reads,
+            &ConstructConfig {
+                k: 15,
+                min_coverage: 0,
+                batch_size: 64,
+            },
+            2,
+        )
+        .into_nodes()
+    }
+
+    /// `ids` in the order a `u64`-keyed vertex set of `workers` partitions
+    /// iterates them: the order the labelers must return.
+    pub(crate) fn partition_order(workers: usize, ids: impl IntoIterator<Item = u64>) -> Vec<u64> {
+        VertexSet::from_pairs(workers, ids.into_iter().map(|id| (id, ())))
+            .iter()
+            .map(|(id, _)| id)
+            .collect()
+    }
+
+    /// The expected list-ranking label of every unambiguous vertex, and
+    /// whether it lies on a cycle: the smallest contig-end ID of its path, or
+    /// the smallest ID of its cycle (which has no contig end).
+    fn expected_lr_labels(nodes: &[AsmNode]) -> HashMap<u64, (u64, bool)> {
+        let unambiguous: HashSet<u64> = nodes
+            .iter()
+            .filter(|n| n.vertex_type() != VertexType::Branch)
+            .map(|n| n.id)
+            .collect();
+        let by_id: HashMap<u64, &AsmNode> = nodes.iter().map(|n| (n.id, n)).collect();
+        let mut expected = HashMap::new();
+        for group in unambiguous_component_oracle(nodes) {
+            let is_end = |id: &u64| {
+                [Side::Left, Side::Right].into_iter().any(|side| {
+                    by_id[id]
+                        .sole_edge_on(side)
+                        .is_none_or(|e| !unambiguous.contains(&e.neighbor))
+                })
+            };
+            let label = match group.iter().copied().filter(is_end).min() {
+                Some(end) => (end, false),
+                None => (group[0], true),
+            };
+            for id in group {
+                expected.insert(id, label);
+            }
+        }
+        expected
+    }
+
+    #[test]
+    fn lr_returns_labels_and_ambiguous_in_u64_partition_order() {
+        let mut inputs: Vec<Vec<AsmNode>> = [3, 41].map(generated_nodes).into();
+        assert!(inputs
+            .iter()
+            .all(|nodes| nodes.iter().any(|n| n.vertex_type() == VertexType::Branch)));
+        // A path plus a disjoint cycle, which goes through the fallback.
+        let mut mixed = nodes_from_reads(&["CTGCCGT", "CCGTACA"], 4);
+        mixed.extend(synthetic_cycle(8));
+        inputs.push(mixed);
+        for nodes in &inputs {
+            let expected = expected_lr_labels(nodes);
+            let branches = nodes
+                .iter()
+                .filter(|n| n.vertex_type() == VertexType::Branch)
+                .map(|n| n.id);
+            for workers in [1, 2, 3, 7] {
+                let outcome = label_contigs_lr(nodes, workers);
+                // Path labels first, then the cycle fallback's labels, each in
+                // partition order.
+                let on_cycle = |cycle: bool| {
+                    let ids = expected.iter().filter(move |(_, l)| l.1 == cycle);
+                    partition_order(workers, ids.map(|(id, _)| *id))
+                };
+                let want: Vec<(u64, u64)> = on_cycle(false)
+                    .into_iter()
+                    .chain(on_cycle(true))
+                    .map(|id| (id, expected[&id].0))
+                    .collect();
+                assert_eq!(outcome.labels, want, "workers {workers}");
+                assert_eq!(outcome.used_cycle_fallback, expected.values().any(|l| l.1));
+                assert_eq!(
+                    outcome.ambiguous,
+                    partition_order(workers, branches.clone()),
+                    "workers {workers}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn edges_into_missing_vertices_drop_their_messages_and_split_the_path() {
+        // Remove an inner vertex of the seven-vertex path; its two neighbours
+        // keep their edges to it.
+        let mut nodes = nodes_from_reads(&["CTGCCGT", "CCGTACA"], 4);
+        let inner = nodes
+            .iter()
+            .position(|n| {
+                n.vertex_type() == VertexType::OneOne
+                    && n.real_edges().all(|e| {
+                        let nb = nodes.iter().find(|m| m.id == e.neighbor).unwrap();
+                        nb.vertex_type() == VertexType::OneOne
+                    })
+            })
+            .expect("the path has an inner vertex between two inner vertices");
+        nodes.remove(inner);
+        let halves = unambiguous_component_oracle(&nodes);
+        assert_eq!(halves.len(), 2);
+        let want_labels: HashMap<u64, u64> = halves
+            .iter()
+            .flat_map(|g| g.iter().map(move |&id| (id, g[0])))
+            .collect();
+        for workers in [1, 2, 3] {
+            // Neither half ever reaches its far contig end, so list ranking
+            // hands both to the cycle fallback: smallest ID per half.
+            let outcome = label_contigs_lr(&nodes, workers);
+            assert!(outcome.used_cycle_fallback);
+            assert!(outcome.metrics.total_dropped > 0);
+            let got: HashMap<u64, u64> = outcome.labels.iter().copied().collect();
+            assert_eq!(got, want_labels, "workers {workers}");
+            let ids = outcome.labels.iter().map(|(id, _)| *id);
+            assert_eq!(
+                ids.collect::<Vec<_>>(),
+                partition_order(workers, nodes.iter().map(|n| n.id))
+            );
+        }
+    }
+
+    #[test]
+    fn spill_codecs_round_trip_u32_fields_and_reject_truncation() {
+        let state = LrState {
+            vtype: VertexType::Branch,
+            neighbor: [Some(0x7fff_fffe), None],
+            broadcast: vec![0, 1 << 20, 0x7fff_ffff],
+            ptr: [flip(0x1234_5678), 0x0765_4321],
+            done: [true, false],
+        };
+        let messages = [
+            LrMsg::Ambiguous(0x7fff_ffff),
+            LrMsg::Request(1 << 24),
+            LrMsg::Response {
+                responder: 3,
+                other: flip(0x7fff_ffff),
+            },
+        ];
+        let mut buf = Vec::new();
+        state.encode(&mut buf);
+        // Tag, two neighbour slots, length, three broadcast IDs, two
+        // pointers and two flags, with every ID four bytes wide.
+        assert_eq!(buf.len(), 1 + (1 + 4) + 1 + 8 + 3 * 4 + 2 * 4 + 2);
+        assert_eq!(LrState::decode(&mut buf.as_slice()), Some(state.clone()));
+        for cut in 0..buf.len() {
+            assert_eq!(LrState::decode(&mut &buf[..cut]), None, "cut at {cut}");
+        }
+        for msg in messages {
+            let mut buf = Vec::new();
+            msg.encode(&mut buf);
+            assert_eq!(LrMsg::decode(&mut buf.as_slice()), Some(msg.clone()));
+            for cut in 0..buf.len() {
+                assert_eq!(
+                    LrMsg::decode(&mut &buf[..cut]),
+                    None,
+                    "{msg:?} cut at {cut}"
+                );
+            }
+        }
+        assert_eq!(LrMsg::decode(&mut [3u8, 0, 0, 0, 0].as_slice()), None);
     }
 }

@@ -13,12 +13,17 @@
 //! framework crate: after the same superstep-0-style identification of
 //! ambiguous vertices, the unambiguous subgraph is handed to S-V and the
 //! resulting component representative becomes the contig label.
+//!
+//! Like list ranking, the job runs on the vertices' dense `u32` ranks in an
+//! `IdTable` rather than on their 64-bit IDs: the renumbering is monotone,
+//! so the smallest rank of a component is the rank of its smallest ID. The
+//! labels are mapped back in the order a `u64`-keyed job would return them.
 
 use super::label::LabelOutcome;
+use crate::ids::IdTable;
 use crate::node::{AsmNode, VertexType};
 use ppa_pregel::algorithms::connected_components;
 use ppa_pregel::{ExecCtx, PregelConfig};
-use std::collections::HashSet;
 
 /// Labels every maximal unambiguous path with the smallest vertex ID of the
 /// path, using the simplified S-V algorithm. (Private worker pool; inside a
@@ -34,27 +39,43 @@ pub fn label_contigs_sv_on(ctx: &ExecCtx, nodes: &[AsmNode]) -> LabelOutcome {
         .max_supersteps(4_000)
         .exec_ctx(ctx.clone());
 
-    let ambiguous: Vec<u64> = nodes
+    let (table, mapped) = IdTable::map_graph(ctx, nodes, |table, _, node| {
+        let branch = node.vertex_type() == VertexType::Branch;
+        let nbrs: Vec<u32> = node.real_edges().map(|e| table.rank(e.neighbor)).collect();
+        (branch, nbrs)
+    });
+    // Rank-indexed bitset of the ambiguous vertices.
+    let mut is_ambiguous = vec![0u64; table.len().div_ceil(64)];
+    for &(rank, (branch, _)) in mapped.iter().flatten() {
+        if branch {
+            is_ambiguous[rank as usize / 64] |= 1 << (rank % 64);
+        }
+    }
+    let is_ambiguous = |rank: u32| is_ambiguous[rank as usize / 64] & (1 << (rank % 64)) != 0;
+    let adjacency: Vec<(u32, Vec<u32>)> = mapped
+        .into_iter()
+        .flatten()
+        .filter(|&(_, (branch, _))| !branch)
+        .map(|(rank, (_, mut nbrs))| {
+            nbrs.retain(|&r| !is_ambiguous(r));
+            (rank, nbrs)
+        })
+        .collect();
+
+    let (cc, metrics) = connected_components(adjacency, &config);
+    let mut label = vec![None; table.len()];
+    for (rank, root) in cc {
+        label[rank as usize] = Some(root);
+    }
+    let labels = table.in_partition_order(config.workers, |rank, id| {
+        label[rank as usize].map(|root| (id, table.id(root)))
+    });
+    // Ambiguous vertices in node order.
+    let ambiguous = nodes
         .iter()
         .filter(|n| n.vertex_type() == VertexType::Branch)
         .map(|n| n.id)
         .collect();
-    let ambiguous_set: HashSet<u64> = ambiguous.iter().copied().collect();
-
-    let adjacency: Vec<(u64, Vec<u64>)> = nodes
-        .iter()
-        .filter(|n| !ambiguous_set.contains(&n.id))
-        .map(|n| {
-            let nbrs: Vec<u64> = n
-                .real_edges()
-                .map(|e| e.neighbor)
-                .filter(|id| !ambiguous_set.contains(id))
-                .collect();
-            (n.id, nbrs)
-        })
-        .collect();
-
-    let (labels, metrics) = connected_components(adjacency, &config);
     LabelOutcome {
         labels,
         ambiguous,
@@ -67,9 +88,11 @@ pub fn label_contigs_sv_on(ctx: &ExecCtx, nodes: &[AsmNode]) -> LabelOutcome {
 mod tests {
     use super::super::label::label_contigs_lr;
     use super::super::label::tests::{
-        groups_sorted, nodes_from_reads, unambiguous_component_oracle,
+        generated_nodes, groups_sorted, nodes_from_reads, partition_order,
+        unambiguous_component_oracle,
     };
     use super::*;
+    use std::collections::HashMap;
 
     #[test]
     fn sv_matches_oracle_on_simple_path() {
@@ -161,5 +184,53 @@ mod tests {
         let outcome = label_contigs_sv(&[], 2);
         assert!(outcome.labels.is_empty());
         assert!(outcome.ambiguous.is_empty());
+    }
+
+    #[test]
+    fn sv_returns_labels_in_u64_partition_order_and_ambiguous_in_node_order() {
+        for seed in [3, 41] {
+            let nodes = generated_nodes(seed);
+            let smallest: HashMap<u64, u64> = unambiguous_component_oracle(&nodes)
+                .into_iter()
+                .flat_map(|g| {
+                    let min = g[0];
+                    g.into_iter().map(move |id| (id, min))
+                })
+                .collect();
+            let branches: Vec<u64> = nodes
+                .iter()
+                .filter(|n| n.vertex_type() == VertexType::Branch)
+                .map(|n| n.id)
+                .collect();
+            assert!(!branches.is_empty());
+            for workers in [1, 2, 3, 7] {
+                let outcome = label_contigs_sv(&nodes, workers);
+                let want: Vec<(u64, u64)> = partition_order(workers, smallest.keys().copied())
+                    .into_iter()
+                    .map(|id| (id, smallest[&id]))
+                    .collect();
+                assert_eq!(outcome.labels, want, "seed {seed}, workers {workers}");
+                assert_eq!(
+                    outcome.ambiguous, branches,
+                    "seed {seed}, workers {workers}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sv_sends_to_missing_neighbours_and_drops_the_messages() {
+        let mut nodes = nodes_from_reads(&["CTGCCGT", "CCGTACA"], 4);
+        let inner = nodes
+            .iter()
+            .position(|n| n.vertex_type() == VertexType::OneOne)
+            .unwrap();
+        nodes.remove(inner);
+        let outcome = label_contigs_sv(&nodes, 3);
+        assert!(outcome.metrics.total_dropped > 0);
+        assert_eq!(
+            groups_sorted(&outcome),
+            unambiguous_component_oracle(&nodes)
+        );
     }
 }

@@ -29,7 +29,8 @@ const CODEC_FILES: &[&str] = &[
 /// pre-pool legacy baseline kept for benchmarking.
 const THREAD_ALLOWLIST: &[&str] = &["crates/pregel/src/engine.rs", "crates/bench/src/legacy.rs"];
 
-/// Path prefixes where SipHash `HashMap` is banned in favor of `FxHashMap`.
+/// Path prefixes where SipHash `HashMap`/`HashSet` are banned in favor of
+/// `FxHashMap`/`FxHashSet`.
 const SIPHASH_SCOPES: &[&str] = &["crates/pregel/", "crates/core/"];
 
 /// Directory whose public `*_on` entry points must be cancellable.
@@ -326,6 +327,9 @@ fn check_engine_only_threading(file: &AnalyzedFile, diags: &mut Vec<Diagnostic>)
 // no-siphash-hot-path
 // ---------------------------------------------------------------------------
 
+/// The SipHash-keyed std collections the rule bans.
+const SIPHASH_TYPES: &[&str] = &["HashMap", "HashSet"];
+
 fn check_no_siphash(file: &AnalyzedFile, diags: &mut Vec<Diagnostic>) {
     if !SIPHASH_SCOPES.iter().any(|p| file.path.starts_with(p)) {
         return;
@@ -337,16 +341,40 @@ fn check_no_siphash(file: &AnalyzedFile, diags: &mut Vec<Diagnostic>) {
         }
         let path_sep = toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
             && toks.get(i + 2).is_some_and(|t| t.is_punct(':'));
-        let is_hashmap = toks.get(i + 3).is_some_and(|t| t.is_ident("HashMap"));
-        if path_sep && is_hashmap {
-            let t = toks.get(i + 3).unwrap_or(tok);
+        if !path_sep {
+            continue;
+        }
+        // `collections::HashMap` names one item; `collections::{A, B}` is a
+        // brace group whose every level is scanned up to its closing brace.
+        let named: Vec<&Token> = if toks.get(i + 3).is_some_and(|t| t.is_punct('{')) {
+            let mut depth = 0usize;
+            let mut group = Vec::new();
+            for t in &toks[i + 3..] {
+                if t.is_punct('{') {
+                    depth += 1;
+                } else if t.is_punct('}') {
+                    depth -= 1;
+                    if depth == 0 {
+                        break;
+                    }
+                } else {
+                    group.push(t);
+                }
+            }
+            group
+        } else {
+            toks.get(i + 3).into_iter().collect()
+        };
+        for t in named {
+            let Some(name) = t.ident().filter(|n| SIPHASH_TYPES.contains(n)) else {
+                continue;
+            };
             diags.push(Diagnostic {
                 rule: Rule::NoSiphashHotPath,
                 file: file.path.clone(),
                 line: t.line,
                 col: t.col,
-                message: "SipHash `HashMap` on a hot path; use `crate::fxhash::FxHashMap`"
-                    .to_string(),
+                message: format!("SipHash `{name}` on a hot path; use `crate::fxhash::Fx{name}`"),
             });
         }
     }

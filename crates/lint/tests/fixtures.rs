@@ -267,6 +267,43 @@ fn std_hashmap_in_pregel_and_core_fires() {
 }
 
 #[test]
+fn std_hashset_fires() {
+    let src = "use std::collections::HashSet;\npub type S = HashSet<u64>;\n";
+    let diags = diags_for("crates/core/src/ops/label_sv.rs", src);
+    assert_eq!(rules_of(&diags), vec![Rule::NoSiphashHotPath]);
+    let src = "pub fn f() -> usize { std::collections::HashSet::<u64>::new().len() }\n";
+    let diags = diags_for("crates/pregel/src/runner.rs", src);
+    assert_eq!(rules_of(&diags), vec![Rule::NoSiphashHotPath]);
+}
+
+#[test]
+fn grouped_imports_fire_once_per_siphash_type() {
+    let src = "use std::collections::{HashMap, HashSet};\n";
+    let diags = diags_for("crates/core/src/ops/merge.rs", src);
+    assert_eq!(
+        rules_of(&diags),
+        vec![Rule::NoSiphashHotPath, Rule::NoSiphashHotPath]
+    );
+    assert_eq!(
+        diags[0].col, 24,
+        "points at `HashMap`, not at `collections`"
+    );
+    // Nested groups and renames are still inside the import.
+    let src = "use std::collections::{btree_map::{BTreeMap}, HashMap as Map};\n";
+    let diags = diags_for("crates/core/src/pipeline.rs", src);
+    assert_eq!(rules_of(&diags), vec![Rule::NoSiphashHotPath]);
+}
+
+#[test]
+fn grouped_imports_without_siphash_types_are_quiet() {
+    let src = "use std::collections::{BTreeMap, BTreeSet, VecDeque};\nuse std::collections::{};\n";
+    assert!(diags_for("crates/core/src/ops/merge.rs", src).is_empty());
+    // The scan stops at the group's closing brace.
+    let src = "use std::collections::{BTreeMap};\npub struct HashSet;\n";
+    assert!(diags_for("crates/core/src/ops/merge.rs", src).is_empty());
+}
+
+#[test]
 fn std_hashmap_outside_hot_crates_is_quiet() {
     let src = "use std::collections::HashMap;\npub type M = HashMap<u64, u64>;\n";
     assert!(diags_for("crates/quality/src/lib.rs", src).is_empty());
@@ -279,6 +316,8 @@ fn fxhashmap_alias_definition_suppression_is_quiet() {
 /// The replacement the rule points at.
 // ppa_lint: allow(no-siphash-hot-path)
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, ()>;
+// ppa_lint: allow(no-siphash-hot-path)
+pub type FxHashSet<K> = std::collections::HashSet<K, ()>;
 "#;
     assert!(diags_for("crates/pregel/src/fxhash.rs", src).is_empty());
 }

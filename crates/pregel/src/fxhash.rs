@@ -78,6 +78,7 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
 /// A `HashSet` keyed with the Fx hasher.
+// ppa_lint: allow(no-siphash-hot-path)
 pub type FxHashSet<K> = std::collections::HashSet<K, FxBuildHasher>;
 
 /// Hashes a single value with the Fx hasher; used for worker partitioning.
