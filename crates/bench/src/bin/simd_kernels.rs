@@ -1,48 +1,28 @@
 //! Regenerates `BENCH_simd.json`: the vectorized data-plane kernels
 //! (`ppa_pregel::kernels`, `ppa_seq::kernels`) against their portable scalar
-//! twins, plus the two regression shapes PR 7 set out to close.
+//! twins.
 //!
-//! Four per-kernel micro-benches (scalar twin vs runtime-dispatched SIMD):
+//! Three per-kernel micro-benches (scalar twin vs runtime-dispatched SIMD):
 //!
 //! * **histogram** — radix digit histogramming over 1M full-width keys;
-//! * **merge_join_probe** — the pass-1 delivery probe: galloping
-//!   `lower_bound_u64` of 500k sorted targets into a 1M-ID sorted column;
 //! * **bitset_scan** — the pass-2 straggler walk (`next_word_with_zero`)
 //!   plus the quiescence `popcount` over a 16M-bit halted set;
 //! * **kmer_compare** — packed `DnaString` ordering and canonical-strand
 //!   picks, word-parallel vs decoded base-by-base.
 //!
-//! Then the column codec and the two regressions:
-//!
-//! * **packed_column_delivery** — the delivery-heavy engine shape on
-//!   delta/bit-packed sorted-ID frames vs plain `Vec` columns
-//!   (`legacy::with_plain_id_columns`), with the resident-bytes ratio;
-//! * **radix_uniform** — uniform full-width keys, pdqsort vs the adaptive
-//!   radix plan (the 0.85× regression in `BENCH_radix_sort.json`);
-//! * **removal_churn** — point-op churn on the columnar store (now carrying
-//!   the hash sidecar) vs `legacy::HashVertexStore` (the 0.56× regression in
-//!   `BENCH_vertex_store.json`);
-//! * **assemble_e2e** — whole `workflow::assemble`, scalar twins + plain
-//!   columns vs the full vectorized configuration.
+//! Then **assemble_e2e** — whole `workflow::assemble`, scalar twins vs the
+//! full vectorized configuration.
 //!
 //! Workloads interleave their baseline and vectorized reps (B T B T …)
 //! rather than timing one side after the other, so slow machine-speed drift
-//! cannot bias the ratio toward whichever side happened to run last. The one
-//! exception is `radix_uniform`, which replays the blocked-reps harness of
-//! `BENCH_radix_sort.json` verbatim so its number stays comparable with the
-//! 0.85× regression recorded there.
+//! cannot bias the ratio toward whichever side happened to run last.
 //!
 //! Run from the repository root: `cargo run -p ppa_bench --release --bin
 //! simd_kernels [--reps N] [--out PATH]`.
 
 use ppa_assembler::workflow::{assemble, AssemblyConfig};
-use ppa_bench::legacy::{
-    comparison_sort_pairs, with_plain_id_columns, with_scalar_kernels, HashVertexStore,
-};
-use ppa_bench::{time_runs as time, SnapshotArgs};
-use ppa_pregel::{
-    kernels, radix, run_from_pairs, Context, NoAggregate, PregelConfig, VertexProgram, VertexSet,
-};
+use ppa_bench::SnapshotArgs;
+use ppa_pregel::kernels;
 use ppa_readsim::preset_by_name;
 use ppa_seq::DnaString;
 use std::hint::black_box;
@@ -50,15 +30,9 @@ use std::time::Instant;
 
 const WORKERS: usize = 4;
 const KEYS_N: usize = 1_000_000;
-const COLUMN_N: u64 = 1_000_000;
-const PROBES_N: usize = 500_000;
 const BITSET_WORDS: usize = 250_000; // 16M bits
 const DNA_STRINGS: usize = 2_000;
 const DNA_LEN: usize = 150;
-const DELIVERY_N: u64 = 200_000;
-const DELIVERY_ROUNDS: usize = 6;
-const DELIVERY_FAN: u64 = 4;
-const CHURN_N: u64 = 400_000;
 
 struct Workload {
     name: &'static str,
@@ -66,7 +40,6 @@ struct Workload {
     baseline_name: &'static str,
     baseline: (f64, f64),
     simd: (f64, f64),
-    notes: Vec<(&'static str, String)>,
 }
 
 impl Workload {
@@ -104,6 +77,17 @@ fn paired(reps: usize, mut rep: impl FnMut(bool)) -> ((f64, f64), (f64, f64)) {
     (baseline, treatment)
 }
 
+/// Runs `f` with every kernel of both kernel crates forced onto its scalar
+/// twin (the two crates share the toggle convention, not the toggle).
+fn scalar<R>(f: impl FnOnce() -> R) -> R {
+    kernels::force_scalar_kernels(true);
+    ppa_seq::kernels::force_scalar_kernels(true);
+    let out = f();
+    ppa_seq::kernels::force_scalar_kernels(false);
+    kernels::force_scalar_kernels(false);
+    out
+}
+
 /// Times `f` under forced-scalar twins and under normal dispatch on
 /// interleaved reps, and wraps the pair into a [`Workload`].
 fn kernel_pair(
@@ -113,9 +97,9 @@ fn kernel_pair(
     mut f: impl FnMut(),
 ) -> Workload {
     eprintln!("{name} ({reps} reps)...");
-    let (baseline, simd) = paired(reps, |scalar| {
-        if scalar {
-            with_scalar_kernels(&mut f);
+    let (baseline, simd) = paired(reps, |is_scalar| {
+        if is_scalar {
+            scalar(&mut f);
         } else {
             f();
         }
@@ -126,7 +110,6 @@ fn kernel_pair(
         baseline_name: "scalar",
         baseline,
         simd,
-        notes: Vec::new(),
     }
 }
 
@@ -145,33 +128,6 @@ fn histogram_workload(reps: usize) -> Workload {
         move || {
             kernels::histograms8(black_box(&keys), &mut hist);
             black_box(hist[0][0]);
-        },
-    )
-}
-
-fn merge_join_workload(reps: usize) -> Workload {
-    // Sorted column of even IDs; probes alternate hits and misses, sorted,
-    // walked with a resuming galloping lower bound — exactly pass 1.
-    let ids: Vec<u64> = (0..COLUMN_N).map(|i| i * 2).collect();
-    let mut state = 0x9E37_79B9_7F4A_7C15u64;
-    let mut probes: Vec<u64> = (0..PROBES_N)
-        .map(|_| xorshift(&mut state) % (COLUMN_N * 2))
-        .collect();
-    probes.sort_unstable();
-    kernel_pair(
-        "merge_join_probe",
-        format!("{PROBES_N} sorted targets galloping into a {COLUMN_N}-ID sorted column"),
-        reps,
-        move || {
-            let mut lo = 0usize;
-            let mut hits = 0usize;
-            for &t in &probes {
-                lo = kernels::lower_bound_u64(black_box(&ids), lo, t);
-                if lo < ids.len() && ids[lo] == t {
-                    hits += 1;
-                }
-            }
-            black_box(hits);
         },
     )
 }
@@ -241,280 +197,6 @@ fn kmer_compare_workload(reps: usize) -> Workload {
 }
 
 // ---------------------------------------------------------------------------
-// Packed vs plain ID columns (delivery-heavy engine shape)
-// ---------------------------------------------------------------------------
-
-struct ScatterFold {
-    n: u64,
-    rounds: usize,
-    fan: u64,
-}
-
-impl VertexProgram for ScatterFold {
-    type Id = u64;
-    type Value = u64;
-    type Message = u64;
-    type Aggregate = NoAggregate;
-    fn compute(&self, ctx: &mut Context<'_, Self>, id: u64, value: &mut u64, msgs: &mut [u64]) {
-        *value = value.wrapping_add(msgs.iter().sum::<u64>());
-        if ctx.superstep() < self.rounds {
-            for f in 0..self.fan {
-                let target = id
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    .wrapping_add(f.wrapping_mul(0x0100_0193) + ctx.superstep() as u64)
-                    % self.n;
-                ctx.send_message(target, id ^ f);
-            }
-        }
-        ctx.vote_to_halt();
-    }
-}
-
-fn run_delivery() -> u64 {
-    let program = ScatterFold {
-        n: DELIVERY_N,
-        rounds: DELIVERY_ROUNDS,
-        fan: DELIVERY_FAN,
-    };
-    let config = PregelConfig {
-        workers: WORKERS,
-        ..Default::default()
-    };
-    let (values, _) = run_from_pairs(&program, &config, (0..DELIVERY_N).map(|i| (i, i)));
-    values.iter().fold(0u64, |acc, (_, v)| acc.wrapping_add(*v))
-}
-
-fn packed_column_workload(reps: usize) -> Workload {
-    eprintln!("packed_column_delivery ({DELIVERY_N} vertices, {reps} reps)...");
-    let plain_sum = with_plain_id_columns(run_delivery);
-    assert_eq!(plain_sum, run_delivery(), "column codecs disagree");
-
-    let packed_set = VertexSet::from_pairs(WORKERS, (0..DELIVERY_N).map(|i| (i, i)));
-    let plain_set =
-        with_plain_id_columns(|| VertexSet::from_pairs(WORKERS, (0..DELIVERY_N).map(|i| (i, i))));
-    let (packed_bytes, logical) = packed_set.id_column_bytes();
-    let (plain_bytes, _) = plain_set.id_column_bytes();
-    let notes = vec![
-        ("packed_id_bytes", format!("{packed_bytes}")),
-        ("plain_id_bytes", format!("{plain_bytes}")),
-        (
-            "compression_ratio",
-            format!("{:.4}", packed_bytes as f64 / logical as f64),
-        ),
-    ];
-
-    let (baseline, simd) = paired(reps, |plain| {
-        if plain {
-            black_box(with_plain_id_columns(run_delivery));
-        } else {
-            black_box(run_delivery());
-        }
-    });
-    Workload {
-        name: "packed_column_delivery",
-        description: format!(
-            "{DELIVERY_N} vertices × {DELIVERY_ROUNDS} supersteps, fan {DELIVERY_FAN}: \
-             merge-join delivery over delta/bit-packed ID frames vs plain Vec columns"
-        ),
-        baseline_name: "plain_columns",
-        baseline,
-        simd,
-        notes,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Regression shape 1: uniform full-width radix keys
-// ---------------------------------------------------------------------------
-
-fn radix_uniform_workload(reps: usize) -> Workload {
-    eprintln!("radix_uniform ({KEYS_N} records, {reps} reps)...");
-    let mut state = 0x2545_F491_4F6C_DD1Du64;
-    let master: Vec<(u64, u64)> = (0..KEYS_N as u64)
-        .map(|i| (xorshift(&mut state), i))
-        .collect();
-    let mut records = master.clone();
-    let mut scratch: Vec<(u64, u64)> = Vec::with_capacity(KEYS_N);
-    // Deliberately NOT interleaved: this workload exists to close the 0.85×
-    // recorded in `BENCH_radix_sort.json`, so it reproduces that bench's
-    // harness shape exactly — blocked reps with the input refresh inside the
-    // timed region — to stay comparable with the PR 4 baseline number.
-    let baseline = time(reps, || {
-        records.clone_from(&master);
-        comparison_sort_pairs(black_box(&mut records));
-    });
-    let simd = time(reps, || {
-        records.clone_from(&master);
-        radix::sort_pairs(black_box(&mut records), &mut scratch);
-    });
-    Workload {
-        name: "radix_uniform",
-        description: format!(
-            "{KEYS_N} uniform full-width (u64,u64) records: pdqsort vs the adaptive \
-             radix plan (wide first digit + envelope-planned passes) — the shape that \
-             regressed to 0.85x under the fixed 8x8-bit schedule"
-        ),
-        baseline_name: "comparison_sort",
-        baseline,
-        simd,
-        notes: Vec::new(),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Regression shape 2: removal churn (point ops) vs the legacy hash store
-// ---------------------------------------------------------------------------
-
-/// The minimal store surface the churn loop needs, implemented by both
-/// sides (same shape as the `vertex_store` bench's `ChurnStore`).
-trait ChurnStore {
-    fn c_insert(&mut self, id: u64, v: u64);
-    fn c_remove(&mut self, id: u64) -> Option<u64>;
-    fn c_get(&self, id: u64) -> Option<u64>;
-    fn c_retain(&mut self, keep: impl Fn(u64, u64) -> bool);
-    fn c_sum(&self) -> u64;
-}
-
-impl ChurnStore for VertexSet<u64, u64> {
-    fn c_insert(&mut self, id: u64, v: u64) {
-        self.insert(id, v);
-    }
-    fn c_remove(&mut self, id: u64) -> Option<u64> {
-        self.remove(&id)
-    }
-    fn c_get(&self, id: u64) -> Option<u64> {
-        self.get(&id).copied()
-    }
-    fn c_retain(&mut self, keep: impl Fn(u64, u64) -> bool) {
-        self.retain(|id, v| keep(*id, *v));
-    }
-    fn c_sum(&self) -> u64 {
-        self.iter().fold(0u64, |acc, (_, v)| acc.wrapping_add(*v))
-    }
-}
-
-impl ChurnStore for HashVertexStore<u64> {
-    fn c_insert(&mut self, id: u64, v: u64) {
-        self.insert(id, v);
-    }
-    fn c_remove(&mut self, id: u64) -> Option<u64> {
-        self.remove(id)
-    }
-    fn c_get(&self, id: u64) -> Option<u64> {
-        self.get(id).copied()
-    }
-    fn c_retain(&mut self, keep: impl Fn(u64, u64) -> bool) {
-        self.retain(|id, v| keep(id, *v));
-    }
-    fn c_sum(&self) -> u64 {
-        self.iter().fold(0u64, |acc, (_, v)| acc.wrapping_add(*v))
-    }
-}
-
-/// Batch retains, point removes/reinserts, lookups and full scans — the
-/// tip/bubble correction shape; returns a checksum so both stores can be
-/// asserted identical.
-fn churn<S: ChurnStore>(store: &mut S, n: u64) -> u64 {
-    let mut checksum = 0u64;
-    let mut state = 0x2545_F491_4F6C_DD1Du64;
-    for round in 0..4u64 {
-        store.c_retain(move |id, _| (id.wrapping_mul(0x9E37_79B9) >> 13) & 7 != round);
-        for _ in 0..5_000 {
-            let id = xorshift(&mut state) % n;
-            if let Some(v) = store.c_remove(id) {
-                checksum = checksum.wrapping_add(v);
-            }
-            store.c_insert(xorshift(&mut state) % n, round + 1);
-        }
-        for _ in 0..10_000 {
-            let id = xorshift(&mut state) % n;
-            if let Some(v) = store.c_get(id) {
-                checksum = checksum.wrapping_add(v);
-            }
-        }
-        checksum = checksum.wrapping_add(store.c_sum());
-        checksum = checksum.wrapping_add(store.c_sum());
-    }
-    checksum
-}
-
-/// Scattered same-value re-inserts: enough point ops to flip every columnar
-/// partition into sidecar mode without changing the stored entries (the hash
-/// store ignores them). Both sides get the identical warm-up.
-fn warm<S: ChurnStore>(store: &mut S) {
-    let mut x = 0x0123_4567_89AB_CDEFu64;
-    for _ in 0..1024 {
-        let id = xorshift(&mut x) % CHURN_N;
-        store.c_insert(id, id);
-    }
-}
-
-/// One steady-state rep: build + warm untimed, churn timed — the cost of a
-/// churn-heavy phase with the one-time store build / sidecar engage reported
-/// separately. Returns `(setup_s, churn_s, checksum)`.
-fn steady_rep<S: ChurnStore>(build: impl FnOnce() -> S) -> (f64, f64, u64) {
-    let t0 = Instant::now();
-    let mut s = build();
-    warm(&mut s);
-    let setup_s = t0.elapsed().as_secs_f64();
-    let t1 = Instant::now();
-    let checksum = black_box(churn(&mut s, CHURN_N));
-    (setup_s, t1.elapsed().as_secs_f64(), checksum)
-}
-
-fn removal_churn_workload(reps: usize) -> Workload {
-    eprintln!("removal_churn ({CHURN_N} vertices, {reps} reps)...");
-    // Interleaved like `paired`, but timing only the churn phase of each rep
-    // (build + warm stay untimed, reported as the *_setup_s notes).
-    let reps = reps.max(1);
-    let mut hash_t = (f64::INFINITY, 0.0);
-    let mut col_t = (f64::INFINITY, 0.0);
-    let mut hash_setup = 0.0;
-    let mut col_setup = 0.0;
-    let mut hash_sum = 0;
-    let mut col_sum = 0;
-    for _ in 0..reps {
-        let (setup, dt, sum) = steady_rep(|| {
-            let mut s: HashVertexStore<u64> = HashVertexStore::new(WORKERS);
-            for i in 0..CHURN_N {
-                s.insert(i, i);
-            }
-            s
-        });
-        hash_setup = setup;
-        hash_sum = sum;
-        hash_t.0 = hash_t.0.min(dt);
-        hash_t.1 += dt;
-        let (setup, dt, sum) =
-            steady_rep(|| VertexSet::from_pairs(WORKERS, (0..CHURN_N).map(|i| (i, i))));
-        col_setup = setup;
-        col_sum = sum;
-        col_t.0 = col_t.0.min(dt);
-        col_t.1 += dt;
-    }
-    hash_t.1 /= reps as f64;
-    col_t.1 /= reps as f64;
-    assert_eq!(col_sum, hash_sum, "removal_churn: stores disagree");
-    Workload {
-        name: "removal_churn",
-        description: format!(
-            "{CHURN_N} vertices, steady state: batch retains + 5k point remove/reinsert + \
-             10k lookups + full scans per round on a warmed store. The columnar store \
-             answers from its hash sidecar (engaged during the untimed warm-up, drained \
-             at the next compaction); build + warm-up costs are the *_setup_s notes — \
-             this was the 0.56x regression on O(log n) point ops"
-        ),
-        baseline_name: "hash_store",
-        baseline: hash_t,
-        simd: col_t,
-        notes: vec![
-            ("hash_setup_s", format!("{hash_setup:.6}")),
-            ("columnar_setup_s", format!("{col_setup:.6}")),
-        ],
-    }
-}
-
-// ---------------------------------------------------------------------------
 // End to end
 // ---------------------------------------------------------------------------
 
@@ -528,12 +210,8 @@ fn main() {
     let micro_reps = reps * 6;
     let mut workloads = vec![
         histogram_workload(micro_reps),
-        merge_join_workload(micro_reps),
         bitset_workload(micro_reps),
         kmer_compare_workload(micro_reps),
-        packed_column_workload(reps * 2),
-        radix_uniform_workload(reps * 4),
-        removal_churn_workload(reps * 4),
     ];
 
     let dataset = preset_by_name("sim-hc2")
@@ -553,22 +231,21 @@ fn main() {
     let run = || {
         black_box(assemble(&dataset.reads, &config).contigs.len());
     };
-    let (baseline, simd) = paired(reps, |scalar_plain| {
-        if scalar_plain {
-            with_scalar_kernels(|| with_plain_id_columns(run));
+    let (baseline, simd) = paired(reps, |is_scalar| {
+        if is_scalar {
+            scalar(run);
         } else {
             run();
         }
     });
     workloads.push(Workload {
         name: "assemble_e2e",
-        description: "whole workflow::assemble on sim-hc2 ×0.5: scalar twins + plain ID \
-                      columns vs the full vectorized configuration"
+        description: "whole workflow::assemble on sim-hc2 ×0.5: scalar twins vs the full \
+                      vectorized configuration"
             .to_string(),
-        baseline_name: "scalar_plain",
+        baseline_name: "scalar",
         baseline,
         simd,
-        notes: Vec::new(),
     });
 
     let mut json = String::from("{\n");
@@ -589,9 +266,6 @@ fn main() {
             "      \"vectorized\": {{\"min_s\": {:.6}, \"mean_s\": {:.6}}},\n",
             w.simd.0, w.simd.1
         ));
-        for (key, value) in &w.notes {
-            json.push_str(&format!("      \"{key}\": {value},\n"));
-        }
         json.push_str(&format!("      \"speedup\": {:.2}\n", w.speedup()));
         json.push_str(if i == last { "    }\n" } else { "    },\n" });
     }

@@ -159,8 +159,6 @@ impl SnapshotArgs {
     }
 }
 
-pub mod legacy;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -63,8 +63,9 @@ use std::time::Duration;
 const MAGIC: [u8; 8] = *b"PPACKPT1";
 /// Format version stamped into and checked against every manifest.
 /// v3 added the cancellation-check counters to the metrics codec; v4 added
-/// the out-of-core spill counters.
-const VERSION: u32 = 4;
+/// the out-of-core spill counters; v5 dropped the per-superstep ID-column
+/// compression ratio.
+const VERSION: u32 = 5;
 /// The manifest file name inside a snapshot directory.
 pub const MANIFEST_FILE: &str = "MANIFEST";
 
@@ -689,7 +690,6 @@ fn encode_metrics(w: &mut Writer<Vec<u8>>, m: &Metrics) -> Result<(), Checkpoint
         w.f64(s.pool_utilization)?;
         w.f64(s.frontier_density)?;
         w.u64(s.store_resident_bytes)?;
-        w.f64(s.id_column_compression)?;
         w.u64(s.cancellation_checks)?;
         w.u64(s.spilled_bytes)?;
         w.u64(s.spill_read_bytes)?;
@@ -726,7 +726,6 @@ fn decode_metrics(file: &str, r: &mut Reader<'_>) -> Result<Metrics, CheckpointE
             pool_utilization: r.f64().map_err(e)?,
             frontier_density: r.f64().map_err(e)?,
             store_resident_bytes: r.u64().map_err(e)?,
-            id_column_compression: r.f64().map_err(e)?,
             cancellation_checks: r.u64().map_err(e)?,
             spilled_bytes: r.u64().map_err(e)?,
             spill_read_bytes: r.u64().map_err(e)?,
@@ -1193,7 +1192,6 @@ mod tests {
                     pool_utilization: (mix.below(1000) as f64) / 1000.0,
                     frontier_density: (mix.below(1000) as f64) / 1000.0,
                     store_resident_bytes: mix.next(),
-                    id_column_compression: (mix.below(1000) as f64) / 1000.0,
                     cancellation_checks: mix.below(2),
                     spilled_bytes: mix.next(),
                     spill_read_bytes: mix.next(),
@@ -1394,6 +1392,27 @@ mod tests {
             load_latest(&dir, reads),
             Err(CheckpointError::Truncated { .. })
         ));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn previous_format_version_is_rejected() {
+        let reads = test_reads();
+        let mut mix = Mix(13);
+        let state = arb_state(&mut mix, reads);
+        let dir = tmp_dir("old-version");
+        let ckpt = save(&dir, &state, &meta(1)).unwrap();
+        let path = ckpt.join(MANIFEST_FILE);
+        // The version is the little-endian u32 right after the 8-byte magic.
+        let mut bytes = fs::read(&path).unwrap();
+        assert_eq!(bytes[8..12], VERSION.to_le_bytes());
+        bytes[8..12].copy_from_slice(&4u32.to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
+        let err = load_latest(&dir, reads).unwrap_err();
+        assert!(
+            matches!(err, CheckpointError::Mismatch { ref what, .. } if what == "format version"),
+            "{err}"
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -25,9 +25,8 @@ const CODEC_FILES: &[&str] = &[
     "shims/serde/src/lib.rs",
 ];
 
-/// Files allowed to spawn OS threads: the persistent worker pool and the
-/// pre-pool legacy baseline kept for benchmarking.
-const THREAD_ALLOWLIST: &[&str] = &["crates/pregel/src/engine.rs", "crates/bench/src/legacy.rs"];
+/// Files allowed to spawn OS threads: the persistent worker pool only.
+const THREAD_ALLOWLIST: &[&str] = &["crates/pregel/src/engine.rs"];
 
 /// Path prefixes where SipHash `HashMap`/`HashSet` are banned in favor of
 /// `FxHashMap`/`FxHashSet`.
@@ -50,7 +49,6 @@ const POLLING_CALLEES: &[&str] = &[
     "map_reduce_with_metrics_on",
     "map_reduce_partitioned_on",
     "map_reduce_spillable_on",
-    "convert_on",
     "connected_components",
 ];
 
@@ -457,7 +455,7 @@ fn check_cancellation_points(file: &AnalyzedFile, diags: &mut Vec<Diagnostic>) {
                 col: name_tok.col,
                 message: format!(
                     "op entry point `{name}` never reaches a control-polling runner path \
-                     (run/run_on/try_run_on/run_from_pairs/map_reduce*_on/convert_on/\
+                     (run/run_on/try_run_on/run_from_pairs/map_reduce*_on/\
                      connected_components); a JobControl could not stop it"
                 ),
             });

@@ -236,7 +236,19 @@ fn thread_scope_outside_engine_fires() {
 fn thread_spawn_in_allowlisted_files_is_quiet() {
     let src = "pub fn run() { std::thread::spawn(|| ()).join().ok(); }\n";
     assert!(diags_for("crates/pregel/src/engine.rs", src).is_empty());
-    assert!(diags_for("crates/bench/src/legacy.rs", src).is_empty());
+}
+
+#[test]
+fn thread_scope_in_bench_fires() {
+    // Benches measure the pool; they do not get a threading exemption.
+    let src = "pub fn run() { std::thread::scope(|_| ()); }\n";
+    for path in [
+        "crates/bench/src/lib.rs",
+        "crates/bench/src/bin/checkpoint.rs",
+    ] {
+        let diags = diags_for(path, src);
+        assert_eq!(rules_of(&diags), vec![Rule::EngineOnlyThreading], "{path}");
+    }
 }
 
 #[test]
@@ -307,7 +319,7 @@ fn grouped_imports_without_siphash_types_are_quiet() {
 fn std_hashmap_outside_hot_crates_is_quiet() {
     let src = "use std::collections::HashMap;\npub type M = HashMap<u64, u64>;\n";
     assert!(diags_for("crates/quality/src/lib.rs", src).is_empty());
-    assert!(diags_for("crates/bench/src/legacy.rs", src).is_empty());
+    assert!(diags_for("crates/bench/src/lib.rs", src).is_empty());
 }
 
 #[test]
@@ -426,7 +438,6 @@ fn op_routed_through_polling_runners_is_quiet() {
         "pub fn a_on(ctx: &ExecCtx) -> u64 { let m = ppa_pregel::run(&p, &c, &mut s); m }\n",
         "pub fn b_on(ctx: &ExecCtx) -> u64 { map_reduce_with_metrics_on(ctx, i, m, r).1 }\n",
         "pub fn c_on(ctx: &ExecCtx) -> u64 { let (cc, sv) = connected_components(adj, &c); sv }\n",
-        "pub fn d_on(ctx: &ExecCtx) -> u64 { set.convert_on(ctx, f, merge).len() as u64 }\n",
         "pub fn e_on(ctx: &ExecCtx) -> u64 { try_run_on(ctx, &p, &c, &mut s).supersteps as u64 }\n",
     ];
     for src in srcs {
@@ -435,6 +446,16 @@ fn op_routed_through_polling_runners_is_quiet() {
             "false positive on: {src}"
         );
     }
+}
+
+#[test]
+fn op_routed_only_through_convert_on_fires() {
+    // `convert_on` is not a polling runner entry point; a call by that
+    // name polls nothing.
+    let src = "pub fn d_on(ctx: &ExecCtx) -> u64 { set.convert_on(ctx, f, merge).len() as u64 }\n";
+    let diags = diags_for("crates/core/src/ops/probe.rs", src);
+    assert_eq!(rules_of(&diags), vec![Rule::CancellationPoints]);
+    assert!(diags[0].message.contains("d_on"));
 }
 
 #[test]

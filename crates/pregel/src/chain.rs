@@ -1,13 +1,15 @@
-//! Job chaining modes: in-memory hand-off vs. an emulated HDFS round-trip.
+//! Job chaining: an emulated HDFS round-trip between consecutive jobs.
 //!
-//! The paper's motivation for the in-memory `convert` extension is that
-//! vanilla Pregel-like systems force consecutive jobs to exchange data through
-//! HDFS (dump, then re-load and re-shuffle). To let the workspace *measure*
-//! that difference (the `ablation_chaining` bench), this module provides a
-//! [`spill_roundtrip`] helper that serialises a collection to a byte buffer
-//! and parses it back, emulating the serialisation + I/O + deserialisation
-//! cost of the HDFS hop (without an actual disk to keep the benchmark
-//! machine-independent; an optional on-disk variant is provided for realism).
+//! The paper's motivation for in-memory job concatenation (its `convert`
+//! extension) is that vanilla Pregel-like systems force consecutive jobs to
+//! exchange data through HDFS (dump, then re-load and re-shuffle). The
+//! assembler's pipeline hands typed vectors between stages in memory; to let
+//! the workspace *measure* the difference (the `ablation_chaining` bench),
+//! this module provides a [`spill_roundtrip`] helper that serialises a
+//! collection to a byte buffer and parses it back, emulating the
+//! serialisation + I/O + deserialisation cost of the HDFS hop (without an
+//! actual disk to keep the benchmark machine-independent; an optional
+//! on-disk variant is provided for realism).
 //!
 //! The byte codec itself ([`SpillCodec`]) and the framing live in
 //! [`crate::spill`] — the same format the engine's out-of-core spill layer
@@ -21,21 +23,6 @@ use crate::spill::{self, SpillError};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
-
-/// How two consecutive operations exchange their intermediate data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum ChainMode {
-    /// The output vertex set of one job is converted in memory into the input
-    /// of the next job (the paper's extension; the default).
-    #[default]
-    InMemory,
-    /// The intermediate data is serialised to a byte stream and parsed back,
-    /// emulating a round-trip through external storage.
-    Spill,
-    /// Like [`ChainMode::Spill`] but the bytes are actually written to and
-    /// read back from a temporary file.
-    SpillToDisk,
-}
 
 /// Statistics of one spill round-trip.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -137,10 +124,5 @@ mod tests {
         let (back, stats) = spill_roundtrip(items.clone(), true).expect("on-disk roundtrip");
         assert_eq!(back, items);
         assert_eq!(stats.records, 100);
-    }
-
-    #[test]
-    fn chain_mode_default_is_in_memory() {
-        assert_eq!(ChainMode::default(), ChainMode::InMemory);
     }
 }

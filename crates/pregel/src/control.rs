@@ -5,10 +5,8 @@
 //! [`cancel`](JobControl::cancel) the job, arm a wall-clock deadline, or cap
 //! the vertex store's resident bytes; the engine side polls the handle
 //! **cooperatively at BSP barriers only** — every superstep boundary of the
-//! [`runner`](crate::runner), the map→reduce hand-off of the
-//! [mini MapReduce](crate::mapreduce), and the shuffle boundary of
-//! [`VertexSet::convert_on`](crate::vertex_set::VertexSet::convert_on) — the
-//! same superstep-boundary consistency discipline the BSP model already
+//! [`runner`](crate::runner) and the map→reduce hand-off of the
+//! [mini MapReduce](crate::mapreduce) — the same superstep-boundary consistency discipline the BSP model already
 //! enforces for fault tolerance.
 //!
 //! A trip is **latched**: the first reason to fire wins and every later poll

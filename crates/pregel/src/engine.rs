@@ -5,14 +5,14 @@
 //! The paper's assembler chains many *short* supersteps across five
 //! Pregel/MapReduce operations, so per-superstep overhead sits on the
 //! critical path. Before this module existed, every superstep's compute and
-//! shuffle phase — and every map/reduce/convert phase — created a fresh
+//! shuffle phase — and every map/reduce phase — created a fresh
 //! `std::thread::scope` worker team: two thread spawns + joins per worker per
 //! superstep. [`WorkerPool`] spawns its threads **once**; afterwards a phase
 //! is dispatched by handing each parked worker a job through a
 //! condvar-protected slot and waiting on a completion latch. On a
-//! short-superstep chain workload the hand-off is an order of magnitude
-//! cheaper than a scope spawn (see `BENCH_worker_pool.json`, regenerated by
-//! `cargo run -p ppa_bench --release --bin worker_pool`).
+//! short-superstep chain workload the hand-off was an order of magnitude
+//! cheaper than a scope spawn (`BENCH_worker_pool.json` records the
+//! measurement).
 //!
 //! [`ExecCtx`] is the handle the rest of the workspace passes around:
 //!
@@ -76,7 +76,7 @@ pub enum EngineError {
         /// Why the control plane stopped the job.
         reason: CancelReason,
         /// The superstep boundary at which the poll fired; 0 for barrier
-        /// polls outside a superstep loop (MapReduce and convert shuffles).
+        /// polls outside a superstep loop (the MapReduce shuffle).
         superstep: usize,
     },
     /// An out-of-core spill operation failed (I/O error, or a truncated or
@@ -150,7 +150,7 @@ fn lock(m: &Mutex<PoolState>) -> MutexGuard<'_, PoolState> {
 ///
 /// Construction spawns the threads; every subsequent phase reuses them. The
 /// pool is the **only** place in the workspace that spawns threads for the
-/// steady-state parallel paths (runner, mini-MapReduce, `VertexSet::convert`).
+/// steady-state parallel paths (runner, mini-MapReduce).
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
     handles: Vec<JoinHandle<()>>,
@@ -415,8 +415,8 @@ struct CtxInner {
     /// production). Probed by the runner and pipeline at their crash points.
     faults: Mutex<Option<Arc<ArmedFaults>>>,
     /// Installed job-control handle, if any. Polled cooperatively by the
-    /// runner, the mini MapReduce and `VertexSet::convert_on` at their BSP
-    /// barriers, and by the pipeline at stage boundaries.
+    /// runner and the mini MapReduce at their BSP barriers, and by the
+    /// pipeline at stage boundaries.
     control: Mutex<Option<JobControl>>,
     /// Installed spill policy, if any. Read once per job by the runner and
     /// the mini MapReduce; programs whose types provide spill codecs then

@@ -2,10 +2,9 @@
 //!
 //! PRs 4–5 rebuilt the message plane and the vertex store around sorting, so
 //! every steady-state hot loop is a branch-light linear pass over flat
-//! arrays: radix histogramming, merge-join `lower_bound` probes, halted-bitset
-//! scans, and the quiescence popcount. This module collects explicitly
-//! vectorized versions of those passes plus the bit-packing codec behind the
-//! compressed sorted-ID column ([`pack_frame`]/[`unpack_frame`]).
+//! arrays: radix histogramming, halted-bitset scans, and the quiescence
+//! popcount. This module collects explicitly vectorized versions of those
+//! passes.
 //!
 //! # Dispatch strategy
 //!
@@ -68,10 +67,6 @@ use std::sync::OnceLock;
 /// When `true`, every kernel runs its portable scalar twin.
 static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
 
-/// When `true`, newly built vertex-store partitions keep their sorted ID
-/// column as a plain `Vec` instead of the delta/bit-packed frames.
-static FORCE_PLAIN_COLUMNS: AtomicBool = AtomicBool::new(false);
-
 fn env_scalar() -> bool {
     static ENV: OnceLock<bool> = OnceLock::new();
     *ENV.get_or_init(|| std::env::var_os("PPA_SCALAR_KERNELS").is_some_and(|v| v != "0"))
@@ -79,8 +74,7 @@ fn env_scalar() -> bool {
 
 /// Forces (or releases) the portable scalar implementation of every kernel.
 ///
-/// Process-global, like `radix::force_comparison_plane`; benches and the CI
-/// fallback job use it to measure/exercise the scalar twins. The
+/// Process-global; benches and the CI fallback job use it to measure/exercise the scalar twins. The
 /// `PPA_SCALAR_KERNELS` environment variable (any value but `"0"`) forces
 /// scalar independently of this switch.
 pub fn force_scalar_kernels(on: bool) {
@@ -90,20 +84,6 @@ pub fn force_scalar_kernels(on: bool) {
 /// Whether the scalar twins are currently forced (switch or environment).
 pub fn scalar_kernels_forced() -> bool {
     FORCE_SCALAR.load(Ordering::Relaxed) || env_scalar()
-}
-
-/// Forces (or releases) plain `Vec` sorted-ID columns in newly built
-/// vertex-store partitions, disabling delta/bit-packing.
-///
-/// Construction-time: partitions built while the switch is on stay plain for
-/// their lifetime. Used by benches to measure packed vs plain columns.
-pub fn force_plain_id_columns(on: bool) {
-    FORCE_PLAIN_COLUMNS.store(on, Ordering::Relaxed);
-}
-
-/// Whether plain sorted-ID columns are currently forced.
-pub fn plain_id_columns_forced() -> bool {
-    FORCE_PLAIN_COLUMNS.load(Ordering::Relaxed)
 }
 
 /// Cached CPU feature probe: bit 0 = probed, bit 1 = AVX2, bit 2 = POPCNT.
@@ -312,101 +292,6 @@ pub fn histograms_planned(keys: &[u64], plan: &DigitPlan, hist: &mut [u32]) {
 }
 
 // ---------------------------------------------------------------------------
-// Sorted-ID lower bound (merge-join probe)
-// ---------------------------------------------------------------------------
-
-/// First index `>= lo` whose ID is `>= target`, assuming `ids` is sorted
-/// ascending and everything before `lo` is `< target`.
-///
-/// The u64 twin of `vertex_set::lower_bound_from`, used on radix-key images
-/// (decoded column frames, packed tails). The AVX2 path runs a branchless
-/// 4-lane probe — compare, movemask, count — over a short window before
-/// falling back to galloping, because merge-join targets usually land within
-/// a few slots of the cursor.
-pub fn lower_bound_u64(ids: &[u64], lo: usize, target: u64) -> usize {
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2() {
-        // SAFETY: AVX2 verified by the dispatcher.
-        return unsafe { lower_bound_u64_avx2(ids, lo, target) };
-    }
-    lower_bound_u64_scalar(ids, lo, target)
-}
-
-fn lower_bound_u64_scalar(ids: &[u64], lo: usize, target: u64) -> usize {
-    let n = ids.len();
-    let mut i = lo;
-    // Short linear probe: merge joins usually advance by a few slots.
-    let probe_end = n.min(i + 8);
-    while i < probe_end {
-        if ids[i] >= target {
-            return i;
-        }
-        i += 1;
-    }
-    if i == n {
-        return n;
-    }
-    // Gallop, then binary search the final window.
-    let mut step = 8usize;
-    let mut hi = i + step;
-    while hi < n && ids[hi] < target {
-        i = hi + 1;
-        step <<= 1;
-        hi = i + step;
-    }
-    let hi = hi.min(n);
-    i + ids[i..hi].partition_point(|&x| x < target)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-// SAFETY: callers must ensure AVX2 is available; the dispatcher gates every
-// call site behind `use_avx2()`.
-unsafe fn lower_bound_u64_avx2(ids: &[u64], lo: usize, target: u64) -> usize {
-    use core::arch::x86_64::*;
-    let n = ids.len();
-    let mut i = lo;
-    // AVX2 has only a *signed* 64-bit compare; XOR with the sign bit maps
-    // unsigned order onto signed order.
-    let sign = _mm256_set1_epi64x(i64::MIN);
-    let t = _mm256_xor_si256(_mm256_set1_epi64x(target as i64), sign);
-    let mut probes = 0;
-    while i + 4 <= n && probes < 8 {
-        // SAFETY: `i + 4 <= n` guarantees 32 readable bytes at `ids[i..]`;
-        // loadu is alignment-free.
-        let v = unsafe { _mm256_loadu_si256(ids.as_ptr().add(i) as *const __m256i) };
-        let lt = _mm256_cmpgt_epi64(t, _mm256_xor_si256(v, sign));
-        let mask = _mm256_movemask_epi8(lt) as u32;
-        if mask != u32::MAX {
-            // Lanes are 8 mask bytes each; the first lane with any clear
-            // byte is the first ID `>= target`.
-            return i + (mask.trailing_ones() / 8) as usize;
-        }
-        i += 4;
-        probes += 1;
-    }
-    if i + 4 > n {
-        while i < n {
-            if ids[i] >= target {
-                return i;
-            }
-            i += 1;
-        }
-        return n;
-    }
-    // Probe exhausted: the target is far, gallop like the scalar path.
-    let mut step = 4usize;
-    let mut hi = i + step;
-    while hi < n && ids[hi] < target {
-        i = hi + 1;
-        step <<= 1;
-        hi = i + step;
-    }
-    let hi = hi.min(n);
-    i + ids[i..hi].partition_point(|&x| x < target)
-}
-
-// ---------------------------------------------------------------------------
 // Halted-bitset kernels (quiescence popcount + pass-2 word scan)
 // ---------------------------------------------------------------------------
 
@@ -495,91 +380,6 @@ unsafe fn next_word_with_zero_avx2(words: &[u64], from: usize) -> Option<usize> 
         .iter()
         .position(|&w| w != u64::MAX)
         .map(|p| i + p)
-}
-
-// ---------------------------------------------------------------------------
-// Bit-packed ID frame codec (compressed sorted-ID column)
-// ---------------------------------------------------------------------------
-
-/// Number of IDs per sealed frame of a packed sorted-ID column.
-pub const FRAME: usize = 128;
-
-/// Number of `u64` words a frame of `count` values at `width` bits occupies.
-#[inline]
-pub fn frame_words(count: usize, width: u32) -> usize {
-    (count * width as usize).div_ceil(64)
-}
-
-/// Appends `ids.len()` deltas (`id - base`, each `< 2^width`) to `out` as an
-/// LSB-first bitstream of `width`-bit fields, padded up to a word boundary.
-///
-/// `width == 0` (every ID equals `base`) appends nothing.
-pub fn pack_frame(ids: &[u64], base: u64, width: u32, out: &mut Vec<u64>) {
-    debug_assert!(width <= 64);
-    if width == 0 {
-        return;
-    }
-    let start = out.len();
-    out.resize(start + frame_words(ids.len(), width), 0);
-    let words = &mut out[start..];
-    let mut bit = 0usize;
-    for &id in ids {
-        let d = id - base;
-        debug_assert!(
-            width == 64 || d < (1u64 << width),
-            "delta exceeds frame width"
-        );
-        let (wi, sh) = (bit >> 6, bit & 63);
-        words[wi] |= d << sh;
-        if sh + width as usize > 64 {
-            // Spill implies sh > 0, so `64 - sh` is a valid shift.
-            words[wi + 1] |= d >> (64 - sh);
-        }
-        bit += width as usize;
-    }
-}
-
-/// Decodes `out.len()` consecutive `width`-bit deltas from the frame's words
-/// and writes `base + delta` into `out`.
-pub fn unpack_frame(words: &[u64], base: u64, width: u32, out: &mut [u64]) {
-    if width == 0 {
-        out.fill(base);
-        return;
-    }
-    let mask = if width == 64 {
-        u64::MAX
-    } else {
-        (1u64 << width) - 1
-    };
-    let mut bit = 0usize;
-    for o in out.iter_mut() {
-        let (wi, sh) = (bit >> 6, bit & 63);
-        let mut v = words[wi] >> sh;
-        if sh + width as usize > 64 {
-            v |= words[wi + 1] << (64 - sh);
-        }
-        *o = base + (v & mask);
-        bit += width as usize;
-    }
-}
-
-/// Decodes the single `width`-bit delta at `idx` and returns `base + delta`.
-pub fn unpack_one(words: &[u64], base: u64, width: u32, idx: usize) -> u64 {
-    if width == 0 {
-        return base;
-    }
-    let mask = if width == 64 {
-        u64::MAX
-    } else {
-        (1u64 << width) - 1
-    };
-    let bit = idx * width as usize;
-    let (wi, sh) = (bit >> 6, bit & 63);
-    let mut v = words[wi] >> sh;
-    if sh + width as usize > 64 {
-        v |= words[wi + 1] << (64 - sh);
-    }
-    base + (v & mask)
 }
 
 #[cfg(test)]
@@ -685,33 +485,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn lower_bound_handles_empty_and_tiny() {
-        assert_eq!(lower_bound_u64(&[], 0, 7), 0);
-        assert_eq!(lower_bound_u64(&[3], 0, 3), 0);
-        assert_eq!(lower_bound_u64(&[3], 0, 4), 1);
-        assert_eq!(lower_bound_u64(&[3, 9], 1, 9), 1);
-    }
-
-    #[test]
-    fn pack_frame_width_zero_and_64() {
-        let mut out = Vec::new();
-        pack_frame(&[5, 5, 5], 5, 0, &mut out);
-        assert!(out.is_empty());
-        let mut dec = [0u64; 3];
-        unpack_frame(&out, 5, 0, &mut dec);
-        assert_eq!(dec, [5, 5, 5]);
-
-        let ids = [0u64, u64::MAX - 1, u64::MAX];
-        let mut out = Vec::new();
-        pack_frame(&ids, 0, 64, &mut out);
-        assert_eq!(out.len(), 3);
-        let mut dec = [0u64; 3];
-        unpack_frame(&out, 0, 64, &mut dec);
-        assert_eq!(dec, ids);
-        assert_eq!(unpack_one(&out, 0, 64, 1), u64::MAX - 1);
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -758,68 +531,6 @@ mod tests {
             prop_assert_eq!(next_word_with_zero(&words, from), oracle);
             let _g = ForcedScalar::new();
             prop_assert_eq!(next_word_with_zero(&words, from), oracle);
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        #[test]
-        fn prop_lower_bound_matches_partition_point(
-            ids in proptest::collection::vec(0u64..1000, 0..80),
-            lo_frac in 0usize..80,
-            target in 0u64..1100,
-        ) {
-            let mut ids = ids;
-            ids.sort_unstable();
-            ids.dedup();
-            let full = ids.partition_point(|&x| x < target);
-            // Contract: everything before `lo` must already be < target.
-            let lo = lo_frac.min(full);
-            prop_assert_eq!(lower_bound_u64(&ids, lo, target), full);
-            let _g = ForcedScalar::new();
-            prop_assert_eq!(lower_bound_u64(&ids, lo, target), full);
-        }
-
-        #[test]
-        fn prop_lower_bound_wide_range(
-            ids in proptest::collection::vec(0u64..=u64::MAX, 0..300),
-            target in 0u64..=u64::MAX,
-        ) {
-            let mut ids = ids;
-            ids.sort_unstable();
-            let full = ids.partition_point(|&x| x < target);
-            prop_assert_eq!(lower_bound_u64(&ids, 0, target), full);
-        }
-
-        #[test]
-        fn prop_pack_roundtrip(
-            deltas in proptest::collection::vec(0u64..=u64::MAX, 1..200),
-            base in 0u64..1_000_000,
-            width in 1u32..=64,
-        ) {
-            let mask = if width == 64 { u64::MAX } else { (1u64 << width) - 1 };
-            // Clamp so `base + delta` cannot overflow; re-derive the exact
-            // width afterwards, sweeping 1..=64 via the generated mask.
-            let ids: Vec<u64> = deltas
-                .iter()
-                .map(|d| base + (d & mask).min(u64::MAX - base))
-                .collect();
-            let width_needed = ids
-                .iter()
-                .map(|id| 64 - (id - base).leading_zeros())
-                .max()
-                .unwrap_or(0)
-                .max(1);
-            let mut words = Vec::new();
-            pack_frame(&ids, base, width_needed, &mut words);
-            prop_assert_eq!(words.len(), frame_words(ids.len(), width_needed));
-            let mut out = vec![0u64; ids.len()];
-            unpack_frame(&words, base, width_needed, &mut out);
-            prop_assert_eq!(&out, &ids);
-            for (i, &id) in ids.iter().enumerate() {
-                prop_assert_eq!(unpack_one(&words, base, width_needed, i), id);
-            }
         }
     }
 }

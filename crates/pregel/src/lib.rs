@@ -27,11 +27,13 @@
 //! * [`mapreduce`] — the *mini MapReduce* procedure used to build vertices
 //!   from input that is not one-line-per-vertex (DBG construction, contig
 //!   merging and bubble filtering all use it);
-//! * [`VertexSet::convert`] — in-memory job concatenation: the output vertices
-//!   of one job are transformed into the input vertices of the next job and
-//!   re-shuffled by vertex ID without a round-trip through external storage
-//!   ([`chain`] additionally provides an explicit "spill" emulation of that
-//!   round-trip for ablation experiments).
+//! * in-memory job concatenation — the output vertices of one job become the
+//!   input vertices of the next without a round-trip through external
+//!   storage. The assembler's pipeline provides it: each stage hands its
+//!   typed vectors to the next through `GraphState`, and the next job builds
+//!   its [`VertexSet`] from them in bulk ([`chain`] provides an explicit
+//!   serialised round-trip for the ablation experiment that measures the
+//!   difference).
 //!
 //! Finally, [`algorithms`] contains generic *Practical Pregel Algorithms*
 //! (list ranking and the simplified Shiloach–Vishkin connected components)
@@ -60,8 +62,8 @@
 //!   columns, so the sorted message runs meet the vertex store in a single
 //!   linear merge-join (a galloping cursor, no hash probe per run), and the
 //!   straggler scan walks a packed halted bitset instead of iterating a
-//!   hash map. The pre-columnar hash store is preserved in
-//!   `ppa_bench::legacy`; `BENCH_vertex_store.json` records the comparison.
+//!   hash map. `BENCH_vertex_store.json` records the comparison with the
+//!   pre-columnar hash store.
 //! * **sender-side combining** — when a program sets
 //!   [`USE_COMBINER`](VertexProgram::USE_COMBINER), duplicate destinations are
 //!   folded in the sorted outbound buffers before the hand-off (and again
@@ -73,16 +75,15 @@
 //!   allocation. Map UDFs likewise emit through
 //!   [`mapreduce::Emitter`] straight into the shuffle buffers.
 //!
-//! The pre-refactor hash-grouping plane is preserved in the bench crate
-//! (`ppa_bench::legacy`); `cargo bench -p ppa_bench --bench message_plane`
-//! compares the two and `BENCH_message_plane.json` records the snapshot
-//! (≈3× on message-heavy labeling, ≈7× on a 1M-pair shuffle).
+//! `BENCH_message_plane.json` records the comparison with the pre-refactor
+//! hash-grouping plane (≈3× on message-heavy labeling, ≈7× on a 1M-pair
+//! shuffle).
 //!
 //! # Execution engine
 //!
 //! All of the parallel entry points — the superstep runner's compute and
-//! shuffle phases, the mini MapReduce's map and reduce phases, and
-//! [`VertexSet::convert`] — execute on the persistent worker pool of
+//! shuffle phases and the mini MapReduce's map and reduce phases — execute
+//! on the persistent worker pool of
 //! [`engine`] (per-superstep aggregate folding is a cheap O(workers) pass
 //! that stays on the dispatching thread): threads are spawned once per
 //! [`ExecCtx`] and phases are handed
@@ -92,10 +93,9 @@
 //! `AssemblyConfig::exec` in `ppa_assembler`), so a whole multi-job workflow
 //! runs on one worker team; entry points called without a context build a
 //! private single-job pool. The `ExecCtx` also owns the runner's shuffle
-//! planes between jobs, extending buffer reuse across whole job chains. The
-//! per-phase scoped-spawn dispatch this replaced is preserved in
-//! `ppa_bench::legacy`; `BENCH_worker_pool.json` records the comparison on a
-//! short-superstep chain workload.
+//! planes between jobs, extending buffer reuse across whole job chains.
+//! `BENCH_worker_pool.json` records the comparison with the per-phase
+//! scoped-spawn dispatch this replaced, on a short-superstep chain workload.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -119,7 +119,6 @@ pub mod vertex;
 pub mod vertex_set;
 
 pub use aggregate::{Aggregate, BoolOr, Count, MaxU64, MinU64, NoAggregate, SumU64};
-pub use chain::ChainMode;
 pub use config::PregelConfig;
 pub use control::{CancelReason, JobControl};
 pub use engine::{EngineError, ExecCtx, WorkerPool};

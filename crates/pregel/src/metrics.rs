@@ -41,10 +41,6 @@ pub struct SuperstepMetrics {
     /// halt bits, stamps) at the end of this superstep. Heap owned by the
     /// vertex values themselves is not included.
     pub store_resident_bytes: u64,
-    /// Bytes held by the store's sorted ID columns divided by what plain
-    /// element storage would need (delta/bit-packed columns push this well
-    /// below 1.0; exactly 1.0 when the columns are plain or empty).
-    pub id_column_compression: f64,
     /// Cooperative job-control polls performed at this superstep's boundary:
     /// 1 when a [`JobControl`](crate::control::JobControl) was installed on
     /// the context, 0 otherwise.
@@ -206,7 +202,6 @@ mod tests {
                 pool_utilization: 0.5,
                 frontier_density: 0.75,
                 store_resident_bytes: 64,
-                id_column_compression: 1.0,
                 cancellation_checks: 1,
                 spilled_bytes: 10,
                 spill_read_bytes: 5,

@@ -1,8 +1,8 @@
 //! Stable LSD radix sort for the message plane's fixed-width keys.
 //!
 //! Every presort in this workspace — the runner's per-destination outbox
-//! presort, the mini-MapReduce shuffle presort, `VertexSet::convert`'s
-//! presort and construct phase (i)'s (k+1)-mer counting — sorts records by a
+//! presort, the mini-MapReduce shuffle presort, the vertex store's bulk
+//! build and construct phase (i)'s (k+1)-mer counting — sorts records by a
 //! packed integer key (vertex IDs, shuffle keys, canonical k-mers are all
 //! `u64`). [`sort_pairs`] and [`sort_keys`] replace the comparison sorts on
 //! those sites with a **stable least-significant-digit radix sort**:
@@ -28,8 +28,8 @@
 //!   per-worker `WorkerPlane`, which the engine parks in the
 //!   [`ExecCtx`](crate::engine::ExecCtx) typed scratch cache between jobs,
 //!   making steady-state sorting allocation-free across supersteps *and*
-//!   jobs. (The mini-MapReduce and `convert` shuffles reuse one scratch
-//!   across all of a worker's destination buffers within a pass; their
+//!   jobs. (The mini-MapReduce shuffle reuses one scratch across all of a
+//!   worker's destination buffers within a pass; its
 //!   records may borrow non-`'static` data, which the `ExecCtx` cache —
 //!   keyed by `TypeId` — cannot hold.)
 //!
@@ -49,12 +49,9 @@
 //! Keys opt in through [`SortKey`]: types with a monotone, injective `u64`
 //! image (`RADIX = true`) take the radix path; everything else (strings,
 //! wide tuples) falls back to a stable comparison sort, so generic shuffle
-//! code routes through this module unconditionally. The pre-radix
-//! comparison plane stays reachable for benchmarking via
-//! [`force_comparison_plane`] (wrapped by `ppa_bench::legacy`).
+//! code routes through this module unconditionally.
 
 use crate::kernels;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Inputs of at most this many records are sorted with an in-place insertion
 /// sort instead of counting passes.
@@ -64,25 +61,6 @@ pub const INSERTION_CUTOFF: usize = 64;
 /// 48 KiB of histograms and 16 KiB of scatter offsets would dominate the
 /// sort itself.
 pub const WIDE_CUTOFF: usize = 1 << 15;
-
-/// Bench-only switch forcing every [`sort_pairs`]/[`sort_keys`] call onto the
-/// comparison-sort fallback.
-static FORCE_COMPARISON: AtomicBool = AtomicBool::new(false);
-
-/// Forces (or stops forcing) the comparison-sort fallback globally.
-///
-/// This exists so `ppa_bench` can measure the pre-radix comparison plane
-/// end-to-end inside one binary (`ppa_bench::legacy::with_comparison_plane`);
-/// nothing else should call it. The forced path is the same **stable** sort
-/// contract, just implemented by `slice::sort_by` instead of counting passes.
-pub fn force_comparison_plane(on: bool) {
-    FORCE_COMPARISON.store(on, Ordering::Relaxed);
-}
-
-/// Whether [`force_comparison_plane`] is currently engaged.
-pub fn comparison_plane_forced() -> bool {
-    FORCE_COMPARISON.load(Ordering::Relaxed)
-}
 
 /// A sort key of the message plane.
 ///
@@ -103,19 +81,6 @@ pub trait SortKey: Ord {
         debug_assert!(!Self::RADIX, "RADIX keys must override radix_key()");
         0
     }
-
-    /// Inverse of [`radix_key`](SortKey::radix_key): reconstructs the key
-    /// from its `u64` image. Only called on images actually produced by
-    /// `radix_key` and only when [`RADIX`](SortKey::RADIX) is `true` — the
-    /// compressed sorted-ID columns of `VertexSet` store the image and
-    /// decode on access.
-    fn from_radix_key(image: u64) -> Self
-    where
-        Self: Sized,
-    {
-        let _ = image;
-        unreachable!("from_radix_key is only defined for RADIX keys")
-    }
 }
 
 macro_rules! radix_unsigned {
@@ -125,10 +90,6 @@ macro_rules! radix_unsigned {
             #[inline(always)]
             fn radix_key(&self) -> u64 {
                 *self as u64
-            }
-            #[inline(always)]
-            fn from_radix_key(image: u64) -> Self {
-                image as $t
             }
         }
     )*};
@@ -146,10 +107,6 @@ macro_rules! radix_signed {
                 // positive ones, preserving `Ord`.
                 (*self as i64 as u64) ^ (1u64 << 63)
             }
-            #[inline(always)]
-            fn from_radix_key(image: u64) -> Self {
-                (image ^ (1u64 << 63)) as i64 as $t
-            }
         }
     )*};
 }
@@ -162,10 +119,6 @@ impl SortKey for bool {
     fn radix_key(&self) -> u64 {
         *self as u64
     }
-    #[inline(always)]
-    fn from_radix_key(image: u64) -> Self {
-        image != 0
-    }
 }
 
 impl SortKey for char {
@@ -173,12 +126,6 @@ impl SortKey for char {
     #[inline(always)]
     fn radix_key(&self) -> u64 {
         *self as u64
-    }
-    #[inline(always)]
-    fn from_radix_key(image: u64) -> Self {
-        // The image is always a value previously produced by `radix_key`,
-        // i.e. a valid scalar.
-        char::from_u32(image as u32).expect("radix image of a char")
     }
 }
 
@@ -192,12 +139,12 @@ impl<A: Ord, B: Ord, C: Ord> SortKey for (A, B, C) {}
 ///
 /// Radix keys take the LSD path using `scratch` as the ping-pong buffer;
 /// other keys use a stable comparison sort. Either way the sort is **stable**
-/// — records with equal keys keep their input order, which the fold-by-run
-/// duplicate merging of `VertexSet::convert` and the per-sender delivery
+/// — records with equal keys keep their input order, which the
+/// last-duplicate-wins bulk build of `VertexSet` and the per-sender delivery
 /// order of the runner rely on. On return `scratch` is empty (capacity
 /// kept); reuse it across calls to keep steady-state sorting allocation-free.
 pub fn sort_pairs<K: SortKey, V>(records: &mut Vec<(K, V)>, scratch: &mut Vec<(K, V)>) {
-    if !K::RADIX || comparison_plane_forced() {
+    if !K::RADIX {
         records.sort_by(|a, b| a.0.cmp(&b.0));
         return;
     }
@@ -208,7 +155,7 @@ pub fn sort_pairs<K: SortKey, V>(records: &mut Vec<(K, V)>, scratch: &mut Vec<(K
 /// comparison fallback uses the in-place unstable sort; the radix path is
 /// shared with [`sort_pairs`]. On return `scratch` is empty (capacity kept).
 pub fn sort_keys<K: SortKey>(keys: &mut Vec<K>, scratch: &mut Vec<K>) {
-    if !K::RADIX || comparison_plane_forced() {
+    if !K::RADIX {
         keys.sort_unstable();
         return;
     }
@@ -354,27 +301,6 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Serialises the tests that flip or depend on the process-global
-    /// comparison-plane toggle (the test harness runs siblings in parallel).
-    static PLANE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    /// RAII engagement of the forced comparison plane: resets on drop even
-    /// if the holding test panics, so a failure cannot poison other tests.
-    struct ForcedPlane;
-
-    impl ForcedPlane {
-        fn engage() -> ForcedPlane {
-            force_comparison_plane(true);
-            ForcedPlane
-        }
-    }
-
-    impl Drop for ForcedPlane {
-        fn drop(&mut self) {
-            force_comparison_plane(false);
-        }
-    }
-
     fn radix_sorted(mut records: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
         let mut scratch = Vec::new();
         sort_pairs(&mut records, &mut scratch);
@@ -442,28 +368,6 @@ mod tests {
     }
 
     #[test]
-    fn from_radix_key_inverts_radix_key() {
-        for v in [0u64, 1, u64::MAX, 0xDEAD_BEEF] {
-            assert_eq!(u64::from_radix_key(v.radix_key()), v);
-        }
-        for v in [i64::MIN, -1, 0, 1, i64::MAX] {
-            assert_eq!(i64::from_radix_key(v.radix_key()), v);
-        }
-        for v in [i32::MIN, -7, 0, i32::MAX] {
-            assert_eq!(i32::from_radix_key(v.radix_key()), v);
-        }
-        for v in [u8::MIN, 7, u8::MAX] {
-            assert_eq!(u8::from_radix_key(v.radix_key()), v);
-        }
-        for v in [false, true] {
-            assert_eq!(bool::from_radix_key(v.radix_key()), v);
-        }
-        for v in ['a', '\u{10FFFF}', '中'] {
-            assert_eq!(char::from_radix_key(v.radix_key()), v);
-        }
-    }
-
-    #[test]
     fn signed_keys_order_like_ord() {
         let mut records: Vec<(i64, u64)> = (0..1000u64)
             .map(|i| ((i as i64 % 7 - 3) * (1 << 40), i))
@@ -501,22 +405,7 @@ mod tests {
     }
 
     #[test]
-    fn forced_comparison_plane_produces_the_same_order() {
-        let _serial = PLANE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let records: Vec<(u64, u64)> = (0..500u64).map(|i| ((i * 37) % 64, i)).collect();
-        let radix = radix_sorted(records.clone());
-        let forced = {
-            let _plane = ForcedPlane::engage();
-            radix_sorted(records)
-        };
-        assert_eq!(radix, forced, "both paths are stable sorts by key");
-    }
-
-    #[test]
     fn scratch_capacity_is_reused_across_sorts() {
-        // Asserts radix-path behavior, so it must not overlap the forced-
-        // plane test above.
-        let _serial = PLANE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let mut scratch: Vec<(u64, u64)> = Vec::new();
         let mut records: Vec<(u64, u64)> = (0..4096u64).rev().map(|i| (i, i)).collect();
         sort_pairs(&mut records, &mut scratch);

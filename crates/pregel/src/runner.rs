@@ -33,16 +33,15 @@
 //! grouping (one heap `Vec` per receiving vertex per superstep), which
 //! dominated the shuffle cost, and the earlier hash-partitioned vertex store
 //! (one hash probe per delivered run, a bucket-array walk per straggler
-//! scan); see the `message_plane` and `vertex_store` benchmarks for the
-//! before/after comparisons.
+//! scan); `BENCH_message_plane.json` and `BENCH_vertex_store.json` record
+//! the before/after comparisons.
 //!
 //! Both phases are dispatched onto the persistent worker pool of an
 //! [`ExecCtx`] — either the one carried by
 //! [`PregelConfig::exec`](crate::config::PregelConfig::exec) (shared across a
 //! whole workflow, with the planes parked in the context between jobs) or a
 //! private single-job context; no per-superstep thread scope is created
-//! anywhere. See the `engine` module docs and the `worker_pool` benchmark for
-//! the scoped-spawn comparison.
+//! anywhere. See the `engine` module docs for the scoped-spawn comparison.
 //!
 //! # Out-of-core execution
 //!
@@ -71,7 +70,7 @@ use crate::spill::{
     SpillError,
 };
 use crate::vertex::{Context, VertexKey, VertexProgram};
-use crate::vertex_set::{set_bit, RunColumns, VertexSet};
+use crate::vertex_set::{lower_bound_from, set_bit, RunColumns, VertexSet};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -373,19 +372,16 @@ impl<P: VertexProgram> Delivery<'_, P> {
     /// `last` (inclusive; `None` = everything) against the sorted ID column.
     /// Both sequences ascend, so one monotone galloping cursor visits each
     /// side at most once — no hash probe per run, one contiguous slice per
-    /// vertex, nothing allocated; packed columns decode each frame at most
-    /// once per pass.
+    /// vertex, nothing allocated.
     fn deliver(
         &mut self,
         env: &mut WorkerEnv<'_, P>,
         cols: &mut RunColumns<'_, P::Id, P::Value>,
         last: Option<P::Id>,
     ) -> Result<(), SpillError> {
-        // Copy the shared column reference out of `cols` so the decoding
-        // cursor's borrow is independent of the `&mut cols` that
-        // `compute_slot` takes.
+        // Copy the shared column reference out of `cols` so its borrow is
+        // independent of the `&mut cols` that `compute_slot` takes.
         let ids = cols.ids;
-        let mut cur = ids.cursor();
         let slots = ids.len();
         let mut cursor = 0usize;
         let n_in = self.in_ids.len();
@@ -400,8 +396,8 @@ impl<P: VertexProgram> Delivery<'_, P> {
                 j += 1;
             }
             self.next_msg = j;
-            cursor = cur.lower_bound_from(cursor, &id);
-            if cursor < slots && cur.get(cursor) == id {
+            cursor = lower_bound_from(ids, cursor, &id);
+            if cursor < slots && ids[cursor] == id {
                 env.compute_slot(cols, cursor, id, self.outbox, &mut self.in_msgs[i..j]);
                 self.check_spill(env)?;
             } else {
@@ -423,7 +419,6 @@ impl<P: VertexProgram> Delivery<'_, P> {
         cols: &mut RunColumns<'_, P::Id, P::Value>,
     ) -> Result<(), SpillError> {
         let ids = cols.ids;
-        let mut cur = ids.cursor();
         let slots = ids.len();
         let mut wi = 0usize;
         while let Some(w) = kernels::next_word_with_zero(cols.halted, wi) {
@@ -438,7 +433,7 @@ impl<P: VertexProgram> Delivery<'_, P> {
                 if cols.stamps[slot] == env.stamp {
                     continue;
                 }
-                let id = cur.get(slot);
+                let id = ids[slot];
                 env.compute_slot(cols, slot, id, self.outbox, &mut []);
                 self.check_spill(env)?;
             }
@@ -510,7 +505,8 @@ fn compute_sealed<P: VertexProgram>(
 /// shuffle planes), or on a private single-job pool otherwise.
 ///
 /// The vertex set keeps the final vertex values; a typical operation runs a
-/// job and then inspects or [`convert`](VertexSet::convert)s the set.
+/// job and then reads the set back with [`VertexSet::iter`] or
+/// [`VertexSet::into_pairs`].
 ///
 /// # Panics
 ///
@@ -756,12 +752,6 @@ pub fn run_on<P: VertexProgram>(
                 .flatten()
                 .map(PartSeal::resident_bytes)
                 .sum::<usize>()) as u64;
-        let (id_packed, id_plain) = vertices.id_column_bytes();
-        let id_column_compression = if id_plain == 0 {
-            1.0
-        } else {
-            id_packed as f64 / id_plain as f64
-        };
         // Running mean: superstep 0 is always dense (activate_all wakes every
         // vertex), so the peak carries no information — the mean is what
         // separates sparse-frontier jobs from dense ones.
@@ -948,7 +938,6 @@ pub fn run_on<P: VertexProgram>(
                 },
                 frontier_density,
                 store_resident_bytes,
-                id_column_compression,
                 cancellation_checks,
                 spilled_bytes: spilled_bytes_step,
                 spill_read_bytes: spill_read_step,

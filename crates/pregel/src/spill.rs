@@ -33,7 +33,7 @@
 //! RAII `Drop` impls, including on the cancellation unwind path.
 
 use crate::vertex::VertexProgram;
-use crate::vertex_set::{IdColumn, RunColumns};
+use crate::vertex_set::RunColumns;
 use serde::bin::{FrameError, FrameReader};
 use serde::{Deserialize, Serialize};
 use std::collections::BinaryHeap;
@@ -719,8 +719,8 @@ pub(crate) struct PartSeal<I, V> {
     garbage_bytes: u64,
     /// Extent index currently materialised in the window buffers.
     loaded: Option<usize>,
-    // Reusable single-extent window buffers (always the `Plain` ID variant).
-    win_ids: IdColumn<I>,
+    // Reusable single-extent window buffers.
+    win_ids: Vec<I>,
     win_values: Vec<Option<V>>,
     win_halted: Vec<u64>,
     win_stamps: Vec<u32>,
@@ -756,7 +756,7 @@ impl<I: Copy + Ord, V> PartSeal<I, V> {
             next_gen: 0,
             garbage_bytes: 0,
             loaded: None,
-            win_ids: IdColumn::plain(),
+            win_ids: Vec::new(),
             win_values: Vec::new(),
             win_halted: Vec::new(),
             win_stamps: Vec::new(),
@@ -775,7 +775,7 @@ impl<I: Copy + Ord, V> PartSeal<I, V> {
     }
 
     fn clear_window(&mut self) {
-        self.win_ids.as_plain_mut().clear();
+        self.win_ids.clear();
         self.win_values.clear();
         self.win_halted.clear();
         self.win_stamps.clear();
@@ -793,7 +793,7 @@ impl<I: Copy + Ord, V> PartSeal<I, V> {
                 self.clear_window();
             }
             let slot = self.win_values.len();
-            self.win_ids.as_plain_mut().push(id);
+            self.win_ids.push(id);
             self.win_values.push(value);
             self.win_stamps.push(stamp);
             if slot & 63 == 0 {
@@ -822,8 +822,12 @@ impl<I: Copy + Ord, V> PartSeal<I, V> {
         for w in &self.win_halted {
             w.encode(&mut scratch);
         }
-        let ids = self.win_ids.as_plain_mut();
-        for ((id, value), stamp) in ids.iter().zip(&self.win_values).zip(&self.win_stamps) {
+        for ((id, value), stamp) in self
+            .win_ids
+            .iter()
+            .zip(&self.win_values)
+            .zip(&self.win_stamps)
+        {
             (self.id_codec.encode)(id, &mut scratch);
             stamp.encode(&mut scratch);
             match value {
@@ -872,7 +876,7 @@ impl<I: Copy + Ord, V> PartSeal<I, V> {
                     })?),
                     _ => return Err(corrupt(format!("extent slot {i}: bad value presence flag"))),
                 };
-                self.win_ids.as_plain_mut().push(id);
+                self.win_ids.push(id);
                 self.win_values.push(value);
                 self.win_stamps.push(stamp);
             }
@@ -923,8 +927,7 @@ impl<I: Copy + Ord, V> PartSeal<I, V> {
     /// Writes the current window out as a brand-new extent (seal time only).
     fn flush_window_as_extent(&mut self) -> Result<(), SpillError> {
         let slots = self.win_values.len();
-        let ids = self.win_ids.as_plain_mut();
-        let (first, last) = match (ids.first().copied(), ids.last().copied()) {
+        let (first, last) = match (self.win_ids.first().copied(), self.win_ids.last().copied()) {
             (Some(f), Some(l)) => (f, l),
             _ => return Err(self.internal("empty extent window")),
         };
@@ -1082,14 +1085,16 @@ impl<I: Copy + Ord, V> PartSeal<I, V> {
         Ok(())
     }
 
-    /// Loads every extent in order and hands each slot to `f` (unseal).
+    /// Loads every extent in order and hands each slot to `f` (unseal). A
+    /// seal is only ever built from live slots, so a vacant one is reported
+    /// as corrupt.
     pub(crate) fn drain_slots(
         &mut self,
-        mut f: impl FnMut(I, Option<V>, bool, u32),
+        mut f: impl FnMut(I, V, bool, u32),
     ) -> Result<(), SpillError> {
         for e in 0..self.extents.len() {
             self.load_extent(e)?;
-            let ids = std::mem::take(self.win_ids.as_plain_mut());
+            let ids = std::mem::take(&mut self.win_ids);
             let values = std::mem::take(&mut self.win_values);
             let stamps = std::mem::take(&mut self.win_stamps);
             let words = std::mem::take(&mut self.win_halted);
@@ -1097,11 +1102,14 @@ impl<I: Copy + Ord, V> PartSeal<I, V> {
             for (slot, ((id, value), stamp)) in
                 ids.iter().copied().zip(values).zip(stamps).enumerate()
             {
+                let Some(value) = value else {
+                    return Err(self.internal("vacant slot in a sealed extent"));
+                };
                 f(id, value, bit(&words, slot), stamp);
             }
             // Give the capacity back to the window for the next extent.
-            *self.win_ids.as_plain_mut() = ids;
-            self.win_ids.as_plain_mut().clear();
+            self.win_ids = ids;
+            self.win_ids.clear();
         }
         Ok(())
     }
@@ -1120,7 +1128,7 @@ impl<I: Copy + Ord, V> PartSeal<I, V> {
     /// the seal's actual RAM footprint, reported in `store_resident_bytes`
     /// while the partition is sealed.
     pub(crate) fn resident_bytes(&self) -> usize {
-        self.win_ids.heap_bytes()
+        self.win_ids.capacity() * std::mem::size_of::<I>()
             + self.win_values.capacity() * std::mem::size_of::<Option<V>>()
             + self.win_halted.capacity() * 8
             + self.win_stamps.capacity() * 4
@@ -1275,9 +1283,20 @@ mod tests {
         let expected: Vec<_> = (0..n)
             .map(|i| {
                 let id = (i as u64) * 3;
-                (id, Some(id * 7), i % 5 == 0, i as u32)
+                (id, id * 7, i % 5 == 0, i as u32)
             })
             .collect();
         assert_eq!(back, expected);
+    }
+
+    #[test]
+    fn part_seal_rejects_a_vacant_slot_on_drain() {
+        let dir = SpillDir::create("unit").expect("create spill dir");
+        let mut seal: PartSeal<u64, u64> =
+            PartSeal::new(Arc::clone(&dir), 0, codec_of(), codec_of());
+        seal.seal_slots([(1u64, Some(10u64), false, 0), (2, None, false, 0)])
+            .expect("seal slots");
+        let err = seal.drain_slots(|_, _, _, _| {}).unwrap_err();
+        assert!(matches!(err, SpillError::Corrupt { .. }), "{err}");
     }
 }

@@ -12,8 +12,9 @@
 //! ```
 //!
 //! No statistics beyond the mean, no plots, no saved baselines — comparisons
-//! are made by benching the old and new implementation side by side in the
-//! same target (see `crates/bench/benches/message_plane.rs`).
+//! are made by benching the alternatives side by side in the same target
+//! (see `crates/bench/benches/micro.rs`, which races list ranking against
+//! simplified S-V).
 
 use std::fmt;
 use std::time::{Duration, Instant};

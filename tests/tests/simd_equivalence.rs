@@ -1,16 +1,14 @@
 //! SIMD-dispatch equivalence pins: the vectorized kernel layer must be
 //! observationally invisible. A full assembly run under the default
-//! runtime-dispatched kernels, under forced-scalar kernels, and under
-//! plain (uncompressed) sorted-ID columns must produce byte-identical
-//! contig sets and identical assembly statistics.
+//! runtime-dispatched kernels and under forced-scalar kernels must produce
+//! byte-identical contig sets and identical assembly statistics.
 //!
 //! (Per-kernel SIMD == scalar equivalence across widths, alignments, and
 //! tails is pinned by property tests inside `ppa_pregel::kernels` and
 //! `ppa_seq`; this test covers the cross-crate composition on a real
-//! error-heavy workload, including the sidecar/compaction path.)
+//! workload.)
 
 use ppa_assembler::{assemble, AssemblyConfig};
-use ppa_bench::legacy::{with_plain_id_columns, with_scalar_kernels};
 use ppa_readsim::preset_by_name;
 
 fn contig_fingerprint(workers: usize) -> (Vec<String>, usize, usize) {
@@ -33,24 +31,18 @@ fn contig_fingerprint(workers: usize) -> (Vec<String>, usize, usize) {
 }
 
 #[test]
-fn forced_scalar_and_plain_columns_match_dispatched_assembly() {
+fn forced_scalar_matches_dispatched_assembly() {
     for workers in [1, 4] {
         let dispatched = contig_fingerprint(workers);
-        let scalar = with_scalar_kernels(|| contig_fingerprint(workers));
-        let plain = with_plain_id_columns(|| contig_fingerprint(workers));
-        let scalar_plain =
-            with_scalar_kernels(|| with_plain_id_columns(|| contig_fingerprint(workers)));
+        // Both kernel crates keep their own scalar toggle.
+        ppa_pregel::kernels::force_scalar_kernels(true);
+        ppa_seq::kernels::force_scalar_kernels(true);
+        let scalar = contig_fingerprint(workers);
+        ppa_seq::kernels::force_scalar_kernels(false);
+        ppa_pregel::kernels::force_scalar_kernels(false);
         assert_eq!(
             dispatched, scalar,
             "forced-scalar kernels diverged (workers={workers})"
-        );
-        assert_eq!(
-            dispatched, plain,
-            "plain ID columns diverged (workers={workers})"
-        );
-        assert_eq!(
-            dispatched, scalar_plain,
-            "scalar + plain columns diverged (workers={workers})"
         );
     }
 }

@@ -1,12 +1,12 @@
-//! Columnar-store equivalence pins: the sorted SoA vertex store must be
-//! observationally identical to the hash-partitioned store it replaced.
+//! Columnar-store pins: the sorted SoA vertex store must deliver exactly
+//! what a vertex program addresses to it, independent of partitioning.
 //!
 //! Three layers of evidence:
 //!
-//! * **engine level** — the same vertex program run through the production
-//!   (columnar) engine and through `ppa_bench::legacy::run_hash_store` (the
-//!   pre-columnar delivery loop on the same pool and message plane) produces
-//!   the same final values and job totals, across worker counts;
+//! * **engine level** — a planned scatter program run through the engine
+//!   ends with every vertex holding its initial value plus the sum of the
+//!   payloads planned for it, with the expected job totals, across worker
+//!   counts;
 //! * **operation level** — `remove_tips` over one fixed post-merge graph is
 //!   byte-identical for every worker count (the store's partitioning must
 //!   not leak into the REQUEST/DELETE protocol), exercising the
@@ -15,28 +15,26 @@
 //!   two correction rounds) yields the same contig content for every worker
 //!   count.
 //!
-//! (The store's mutation API has its own hash-oracle property test inside
-//! `ppa_pregel::vertex_set`, and halt-flag equivalence against a sequential
-//! BSP oracle lives in `ppa_pregel::runner`.)
+//! (Halt-flag equivalence against a sequential BSP oracle lives in
+//! `ppa_pregel::runner`.)
 
 use ppa_assembler::ops::construct::ConstructConfig;
 use ppa_assembler::ops::merge::MergeConfig;
 use ppa_assembler::ops::tip::{remove_tips, TipConfig};
 use ppa_assembler::pipeline::{Construct, Label, Merge};
 use ppa_assembler::{assemble, AssemblyConfig, GraphState, Pipeline};
-use ppa_bench::legacy::{run_hash_store, HashStoreCtx, HashStoreProgram};
 use ppa_pregel::{Context, ExecCtx, NoAggregate, PregelConfig, VertexProgram};
 use ppa_readsim::{GenomeConfig, ReadSimConfig};
 use ppa_seq::ReadSet;
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------------
-// Engine level: columnar runner vs the legacy hash-store runner
+// Engine level: the columnar runner vs a directly computed expectation
 // ---------------------------------------------------------------------------
 
-/// A scatter program driven by an explicit plan, defined against both vertex
-/// interfaces: superstep 0 sends the planned messages, superstep 1 folds the
-/// received sums, then everything halts.
+/// A scatter program driven by an explicit plan: superstep 0 sends the
+/// planned messages, superstep 1 folds the received sums, then everything
+/// halts.
 struct Planned {
     plan: Vec<Vec<(u64, u64)>>,
 }
@@ -58,54 +56,37 @@ impl VertexProgram for Planned {
     }
 }
 
-impl HashStoreProgram for Planned {
-    type Value = u64;
-    type Message = u64;
-    fn compute(
-        &self,
-        ctx: &mut HashStoreCtx<'_, Self>,
-        id: u64,
-        value: &mut u64,
-        msgs: &mut [u64],
-    ) {
-        if ctx.superstep() == 0 {
-            for &(to, payload) in &self.plan[id as usize] {
-                ctx.send_message(to, payload);
-            }
-        } else {
-            *value += msgs.iter().sum::<u64>();
-        }
-        ctx.vote_to_halt();
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
     #[test]
-    fn prop_columnar_engine_matches_hash_store_engine(
+    fn prop_columnar_engine_matches_planned_sums(
         n in 1u64..60,
         raw in proptest::collection::vec((0u64..60, 0u64..80, 1u64..100), 0..250),
         workers in 1usize..6,
     ) {
         let mut plan: Vec<Vec<(u64, u64)>> = vec![Vec::new(); n as usize];
+        // Every vertex starts at `i`; it ends at `i` plus the payloads
+        // planned for it. Out-of-range targets are sent, then dropped.
+        let mut expected: Vec<(u64, u64)> = (0..n).map(|i| (i, i)).collect();
+        let mut dropped = 0u64;
         for &(sender, target, payload) in &raw {
-            // Includes out-of-range targets: both stores must drop them.
             plan[(sender % n) as usize].push((target, payload));
+            match expected.get_mut(target as usize) {
+                Some((_, value)) => *value += payload,
+                None => dropped += 1,
+            }
         }
         let program = Planned { plan };
-        let ctx = ExecCtx::new(workers);
-
-        let (mut old, old_metrics) =
-            run_hash_store(&program, &ctx, (0..n).map(|i| (i, 0u64)), 100);
-        let config = PregelConfig::with_workers(workers).exec_ctx(ctx);
-        let (set, new_metrics) =
-            ppa_pregel::run_from_pairs(&program, &config, (0..n).map(|i| (i, 0u64)));
-        let mut new = set.into_pairs();
-        old.sort_unstable();
-        new.sort_unstable();
-        prop_assert_eq!(old, new);
-        prop_assert_eq!(old_metrics.supersteps, new_metrics.supersteps);
-        prop_assert_eq!(old_metrics.total_messages, new_metrics.total_messages);
+        let config = PregelConfig::with_workers(workers).exec_ctx(ExecCtx::new(workers));
+        let (set, metrics) =
+            ppa_pregel::run_from_pairs(&program, &config, (0..n).map(|i| (i, i)));
+        let mut got = set.into_pairs();
+        got.sort_unstable();
+        prop_assert_eq!(got, expected);
+        // Superstep 0 scatters; superstep 1 runs only if something was sent.
+        prop_assert_eq!(metrics.supersteps, if raw.is_empty() { 1 } else { 2 });
+        prop_assert_eq!(metrics.total_messages, raw.len() as u64);
+        prop_assert_eq!(metrics.total_dropped, dropped);
     }
 }
 
