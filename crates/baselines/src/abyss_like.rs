@@ -18,15 +18,19 @@
 //! comparison focuses on the construction and unitig-growth differences the
 //! paper discusses.
 
-use crate::common::{count_canonical_kmers_on, kmer_of};
+use crate::common::{count_canonical_kmers, kmer_of};
 use crate::{Assembler, BaselineAssembly, BaselineParams};
-use ppa_assembler::ops::merge::{merge_contigs_on, MergeConfig};
+use ppa_assembler::ops::merge::{merge_contigs, MergeConfig};
 use ppa_assembler::{edge_contributions, AsmNode, Edge, EdgeSlot, NodeSeq, VertexType};
 use ppa_pregel::aggregate::NoAggregate;
-use ppa_pregel::{Context, ExecCtx, PregelConfig, VertexProgram, VertexSet};
+use ppa_pregel::{Context, ExecCtx, VertexProgram, VertexSet};
 use ppa_seq::{Base, ReadSet};
 use std::collections::HashSet;
 use std::time::Instant;
+
+/// Superstep cap of the probe and propagation jobs: propagation advances one
+/// hop per superstep, so the cap must exceed the longest unitig.
+const MAX_SUPERSTEPS: usize = 2_000_000;
 
 /// The ABySS-like baseline.
 #[derive(Debug, Clone, Copy, Default)]
@@ -172,12 +176,9 @@ impl Assembler for AbyssLike {
         // One persistent pool drives k-mer counting, both Pregel jobs and the
         // final merge.
         let ctx = ExecCtx::new(params.workers);
-        let counts = count_canonical_kmers_on(&ctx, reads, k, params.min_kmer_coverage);
+        let counts = count_canonical_kmers(&ctx, reads, k, params.min_kmer_coverage);
 
         // Probe phase: existence-based edges.
-        let config = PregelConfig::with_workers(params.workers)
-            .max_supersteps(2_000_000)
-            .exec_ctx(ctx.clone());
         let probe_pairs = counts.iter().map(|(&packed, &count)| {
             (
                 packed,
@@ -188,8 +189,8 @@ impl Assembler for AbyssLike {
             )
         });
         let mut probe_set: VertexSet<u64, ProbeState> =
-            VertexSet::from_pairs(config.workers, probe_pairs);
-        let probe_metrics = ppa_pregel::run(&ProbeProgram, &config, &mut probe_set);
+            VertexSet::from_pairs(ctx.workers(), probe_pairs);
+        let probe_metrics = ppa_pregel::run(&ctx, &ProbeProgram, &mut probe_set, MAX_SUPERSTEPS);
 
         let nodes: Vec<AsmNode> = probe_set
             .into_pairs()
@@ -209,8 +210,8 @@ impl Assembler for AbyssLike {
             )
         });
         let mut prop_set: VertexSet<u64, PropState> =
-            VertexSet::from_pairs(config.workers, prop_pairs);
-        let prop_metrics = ppa_pregel::run(&PropProgram, &config, &mut prop_set);
+            VertexSet::from_pairs(ctx.workers(), prop_pairs);
+        let prop_metrics = ppa_pregel::run(&ctx, &PropProgram, &mut prop_set, MAX_SUPERSTEPS);
 
         let labels: Vec<(u64, u64)> = prop_set
             .into_pairs()
@@ -220,7 +221,7 @@ impl Assembler for AbyssLike {
             .collect();
 
         // Stitch groups into contigs (shared substrate).
-        let merged = merge_contigs_on(
+        let merged = merge_contigs(
             &ctx,
             &nodes,
             &labels,

@@ -1,27 +1,16 @@
 //! Shared helpers for the baseline strategies.
 
 use ppa_pregel::fxhash::FxHashMap;
-use ppa_pregel::mapreduce::{map_reduce_on, Emitter};
+use ppa_pregel::mapreduce::{map_reduce, Emitter};
 use ppa_pregel::ExecCtx;
 use ppa_seq::kmer::CanonicalScanner;
 use ppa_seq::{Base, FastxRecord, Kmer, ReadSet};
 use std::collections::HashMap;
 
 /// Counts canonical k-mers of the given size across all reads (splitting at
-/// `N`s), in parallel, and drops those whose count does not exceed
-/// `min_coverage`. (Private worker pool; prefer
-/// [`count_canonical_kmers_on`] when the caller already has a context.)
+/// `N`s), in parallel on the worker pool of `ctx`, and drops those whose
+/// count does not exceed `min_coverage`.
 pub fn count_canonical_kmers(
-    reads: &ReadSet,
-    k: usize,
-    min_coverage: u32,
-    workers: usize,
-) -> HashMap<u64, u32> {
-    count_canonical_kmers_on(&ExecCtx::new(workers), reads, k, min_coverage)
-}
-
-/// [`count_canonical_kmers`] on a caller-provided execution context.
-pub fn count_canonical_kmers_on(
     ctx: &ExecCtx,
     reads: &ReadSet,
     k: usize,
@@ -33,7 +22,7 @@ pub fn count_canonical_kmers_on(
         return HashMap::new();
     }
     let batches: Vec<&[FastxRecord]> = reads.records.chunks(512).collect();
-    let counted = map_reduce_on(
+    let (counted, _) = map_reduce(
         ctx,
         batches,
         |batch: &[FastxRecord], out: &mut Emitter<'_, u64, u32>| {
@@ -57,14 +46,14 @@ pub fn count_canonical_kmers_on(
                 out.emit(key, count);
             }
         },
-        |key: &u64, counts: &mut [u32], out: &mut Vec<(u64, u32)>| {
+        |_worker, key: &u64, counts: &mut [u32], out: &mut Vec<(u64, u32)>| {
             let total: u32 = counts.iter().sum();
             if total > min_coverage {
                 out.push((*key, total));
             }
         },
     );
-    counted.into_iter().collect()
+    counted.into_iter().flatten().collect()
 }
 
 /// Renders a packed k-mer back into a [`Kmer`].
@@ -89,7 +78,7 @@ mod tests {
     #[test]
     fn counts_merge_across_strands_and_reads() {
         let rs = reads(&["CTGCCGTACA", "TGTACGGCAG"]); // second is the reverse complement
-        let counts = count_canonical_kmers(&rs, 4, 0, 2);
+        let counts = count_canonical_kmers(&ExecCtx::new(2), &rs, 4, 0);
         assert!(!counts.is_empty());
         for (&packed, &count) in &counts {
             let kmer = kmer_of(packed, 4);
@@ -101,15 +90,15 @@ mod tests {
     #[test]
     fn out_of_range_k_yields_no_kmers() {
         let rs = reads(&["ACGTACGTAC"]);
-        assert!(count_canonical_kmers(&rs, 0, 0, 2).is_empty());
-        assert!(count_canonical_kmers(&rs, 33, 0, 2).is_empty());
+        assert!(count_canonical_kmers(&ExecCtx::new(2), &rs, 0, 0).is_empty());
+        assert!(count_canonical_kmers(&ExecCtx::new(2), &rs, 33, 0).is_empty());
     }
 
     #[test]
     fn coverage_filter_applies() {
         let rs = reads(&["ACGTACGTAC", "ACGTACGTAC", "TTTTGGGGCC"]);
-        let strict = count_canonical_kmers(&rs, 5, 1, 2);
-        let lenient = count_canonical_kmers(&rs, 5, 0, 2);
+        let strict = count_canonical_kmers(&ExecCtx::new(2), &rs, 5, 1);
+        let lenient = count_canonical_kmers(&ExecCtx::new(2), &rs, 5, 0);
         assert!(strict.len() < lenient.len());
     }
 }

@@ -40,7 +40,7 @@ impl Assembler for PpaAssembler {
             exec: None,
         };
         // The paper-workflow pipeline driven directly, with the stats
-        // observer attached — the same stages `workflow::assemble` runs, on
+        // observer attached — the same stages `workflow::try_assemble` runs, on
         // one persistent pool per run so the comparison harnesses measure the
         // same engine configuration.
         let ctx = ppa_pregel::ExecCtx::new(params.workers);
@@ -48,7 +48,8 @@ impl Assembler for PpaAssembler {
         let mut state = GraphState::new(reads);
         Pipeline::paper_workflow(&config)
             .observe(&mut stats)
-            .run(&mut state, &ctx);
+            .try_run(&mut state, &ctx)
+            .expect("the paper workflow runs");
         let notes = format!(
             "label r1: {} supersteps / {} msgs; label r2: {} supersteps / {} msgs; N50 {} -> {}",
             stats.label_round1.supersteps,

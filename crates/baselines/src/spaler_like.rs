@@ -12,9 +12,9 @@
 //! unambiguous paths PPA-assembler produces.
 
 use crate::{Assembler, BaselineAssembly, BaselineParams};
-use ppa_assembler::ops::construct::{build_dbg_on, ConstructConfig};
-use ppa_assembler::ops::label::label_contigs_lr_on;
-use ppa_assembler::ops::merge::{merge_contigs_on, MergeConfig};
+use ppa_assembler::ops::construct::{build_dbg, ConstructConfig};
+use ppa_assembler::ops::label::label_contigs_lr;
+use ppa_assembler::ops::merge::{merge_contigs, MergeConfig};
 use ppa_pregel::ExecCtx;
 use ppa_seq::{DnaString, ReadSet};
 use rand::rngs::StdRng;
@@ -51,7 +51,7 @@ impl Assembler for SpalerLike {
     fn assemble(&self, reads: &ReadSet, params: &BaselineParams) -> BaselineAssembly {
         let start = Instant::now();
         let ctx = ExecCtx::new(params.workers);
-        let construct = build_dbg_on(
+        let construct = build_dbg(
             &ctx,
             reads,
             &ConstructConfig {
@@ -61,8 +61,8 @@ impl Assembler for SpalerLike {
             },
         );
         let nodes = construct.into_nodes();
-        let labels = label_contigs_lr_on(&ctx, &nodes);
-        let merged = merge_contigs_on(
+        let labels = label_contigs_lr(&ctx, &nodes);
+        let merged = merge_contigs(
             &ctx,
             &nodes,
             &labels.labels,

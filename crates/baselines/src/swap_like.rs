@@ -13,9 +13,9 @@
 //! misassembly counts in Table IV.
 
 use crate::{Assembler, BaselineAssembly, BaselineParams};
-use ppa_assembler::ops::construct::{build_dbg_on, ConstructConfig};
-use ppa_assembler::ops::label_sv::label_contigs_sv_on;
-use ppa_assembler::ops::merge::{merge_contigs_on, MergeConfig};
+use ppa_assembler::ops::construct::{build_dbg, ConstructConfig};
+use ppa_assembler::ops::label_sv::label_contigs_sv;
+use ppa_assembler::ops::merge::{merge_contigs, MergeConfig};
 use ppa_pregel::ExecCtx;
 use ppa_seq::ReadSet;
 use std::time::Instant;
@@ -32,7 +32,7 @@ impl Assembler for SwapLike {
     fn assemble(&self, reads: &ReadSet, params: &BaselineParams) -> BaselineAssembly {
         let start = Instant::now();
         let ctx = ExecCtx::new(params.workers);
-        let construct = build_dbg_on(
+        let construct = build_dbg(
             &ctx,
             reads,
             &ConstructConfig {
@@ -42,8 +42,8 @@ impl Assembler for SwapLike {
             },
         );
         let nodes = construct.into_nodes();
-        let labels = label_contigs_sv_on(&ctx, &nodes);
-        let merged = merge_contigs_on(
+        let labels = label_contigs_sv(&ctx, &nodes);
+        let merged = merge_contigs(
             &ctx,
             &nodes,
             &labels.labels,

@@ -10,7 +10,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ppa_assembler::ops::construct::{build_dbg, ConstructConfig};
 use ppa_pregel::algorithms::{connected_components, list_ranking, ListItem};
 use ppa_pregel::mapreduce::Emitter;
-use ppa_pregel::{map_reduce, PregelConfig};
+use ppa_pregel::{map_reduce, ExecCtx};
 use ppa_readsim::{GenomeConfig, ReadSimConfig};
 use ppa_seq::{banded_edit_distance, Base, DnaString, Kmer};
 use std::hint::black_box;
@@ -41,9 +41,7 @@ fn bench_kmer_ops(c: &mut Criterion) {
 }
 
 fn bench_labeling_primitives(c: &mut Criterion) {
-    let config = PregelConfig::with_workers(4)
-        .max_supersteps(10_000)
-        .track_supersteps(false);
+    let ctx = ExecCtx::new(4);
     let mut group = c.benchmark_group("labeling_primitives");
     for &n in &[1_000u64, 10_000] {
         group.bench_with_input(BenchmarkId::new("list_ranking_chain", n), &n, |b, &n| {
@@ -55,7 +53,7 @@ fn bench_labeling_primitives(c: &mut Criterion) {
                         value: 1,
                     })
                     .collect();
-                black_box(list_ranking(items, &config).0.len())
+                black_box(list_ranking(&ctx, items, 10_000).0.len())
             })
         });
         group.bench_with_input(BenchmarkId::new("simplified_sv_chain", n), &n, |b, &n| {
@@ -72,7 +70,7 @@ fn bench_labeling_primitives(c: &mut Criterion) {
                         (i, nbrs)
                     })
                     .collect();
-                black_box(connected_components(adjacency, &config).0.len())
+                black_box(connected_components(&ctx, adjacency, 10_000).0.len())
             })
         });
     }
@@ -100,17 +98,18 @@ fn bench_edit_distance(c: &mut Criterion) {
 
 fn bench_mapreduce(c: &mut Criterion) {
     let inputs: Vec<u64> = (0..100_000).collect();
+    let ctx = ExecCtx::new(4);
     c.bench_function("mapreduce/100k_records_4_workers", |b| {
         b.iter(|| {
-            let out = map_reduce(
+            let (out, _) = map_reduce(
+                &ctx,
                 inputs.clone(),
-                4,
                 |x: u64, out: &mut Emitter<'_, u64, u64>| out.emit(x % 1024, 1),
-                |k: &u64, vs: &mut [u64], out: &mut Vec<(u64, u64)>| {
+                |_w, k: &u64, vs: &mut [u64], out: &mut Vec<(u64, u64)>| {
                     out.push((*k, vs.iter().sum::<u64>()))
                 },
             );
-            black_box(out.len())
+            black_box(out.iter().map(Vec::len).sum::<usize>())
         })
     });
 }
@@ -128,16 +127,17 @@ fn bench_dbg_construction(c: &mut Criterion) {
         ..ReadSimConfig::default()
     }
     .simulate(&reference);
+    let ctx = ExecCtx::new(4);
     c.bench_function("construct/20kbp_15x", |b| {
         b.iter(|| {
             let out = build_dbg(
+                &ctx,
                 &reads,
                 &ConstructConfig {
                     k: 25,
                     min_coverage: 1,
                     batch_size: 512,
                 },
-                4,
             );
             black_box(out.vertices.len())
         })

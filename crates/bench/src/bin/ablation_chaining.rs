@@ -9,6 +9,7 @@ use ppa_assembler::ops::construct::{build_dbg, ConstructConfig};
 use ppa_assembler::ops::label::label_contigs_lr;
 use ppa_bench::{print_table, secs, HarnessArgs};
 use ppa_pregel::chain::{spill_roundtrip, SpillCodec};
+use ppa_pregel::ExecCtx;
 use std::time::Instant;
 
 /// Spill codec for the compact k-mer vertex: ID plus bitmap plus coverages.
@@ -47,14 +48,15 @@ fn main() {
     let args = HarnessArgs::parse();
     let dataset = args.generate_dataset();
     let workers = args.workers.last().copied().unwrap_or(4);
+    let ctx = ExecCtx::new(workers);
     let construct = build_dbg(
+        &ctx,
         &dataset.reads,
         &ConstructConfig {
             k: args.k,
             min_coverage: 1,
             batch_size: 1024,
         },
-        workers,
     );
 
     // In-memory hand-off (the PPA-assembler extension).
@@ -62,7 +64,7 @@ fn main() {
     let nodes = construct.to_nodes();
     let in_memory_convert = start.elapsed();
     let label_start = Instant::now();
-    let _ = label_contigs_lr(&nodes, workers);
+    let _ = label_contigs_lr(&ctx, &nodes);
     let label_elapsed = label_start.elapsed();
 
     // Emulated HDFS round-trip: serialise the vertices, parse them back, then

@@ -35,7 +35,8 @@ fn main() {
     Pipeline::paper_workflow(&config)
         .observe(&mut stats)
         .observe(&mut progress)
-        .run(&mut state, &ExecCtx::new(workers));
+        .try_run(&mut state, &ExecCtx::new(workers))
+        .expect("the paper workflow runs");
     let stats = &stats;
 
     print_table(

@@ -83,7 +83,9 @@ fn main() {
         }
         let start = Instant::now();
         let mut state = GraphState::new(&reads);
-        Pipeline::paper_workflow(&config).run(&mut state, &ctx);
+        Pipeline::paper_workflow(&config)
+            .try_run(&mut state, &ctx)
+            .expect("the paper workflow runs");
         black_box(state.output.len());
         let elapsed = start.elapsed().as_secs_f64();
         ctx.clear_control();
@@ -128,7 +130,9 @@ fn main() {
         // The uninterrupted wall-clock time calibrates a mid-run deadline.
         let full_start = Instant::now();
         let mut state = GraphState::new(&reads);
-        Pipeline::paper_workflow(&config).run(&mut state, &ctx);
+        Pipeline::paper_workflow(&config)
+            .try_run(&mut state, &ctx)
+            .expect("the paper workflow runs");
         black_box(state.output.len());
         let full_s = full_start.elapsed().as_secs_f64();
         let deadline = Duration::from_secs_f64(full_s / 2.0);

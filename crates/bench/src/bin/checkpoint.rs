@@ -82,14 +82,17 @@ fn main() {
     eprintln!("assembly_overhead: checkpointing off vs EveryStage...");
     let off = time(reps, || {
         let mut state = GraphState::new(&reads);
-        Pipeline::paper_workflow(&config).run(&mut state, &ctx);
+        Pipeline::paper_workflow(&config)
+            .try_run(&mut state, &ctx)
+            .expect("the paper workflow runs");
         black_box(state.output.len());
     });
     let every_stage = time(reps, || {
         let mut state = GraphState::new(&reads);
         Pipeline::paper_workflow(&config)
             .checkpoint_to(&dir, CheckpointPolicy::EveryStage)
-            .run(&mut state, &ctx);
+            .try_run(&mut state, &ctx)
+            .expect("the checkpointed paper workflow runs");
         black_box(state.output.len());
     });
     let overhead_pct = (every_stage.0 / off.0 - 1.0) * 100.0;
@@ -103,7 +106,9 @@ fn main() {
     }));
     let fingerprint = construct_only.fingerprint();
     let mut heavy = GraphState::new(&reads);
-    construct_only.run(&mut heavy, &ctx);
+    construct_only
+        .try_run(&mut heavy, &ctx)
+        .expect("construction runs");
     let meta = CheckpointMeta {
         completed_stages: 1,
         rounds: vec![("construct".to_string(), 1)],

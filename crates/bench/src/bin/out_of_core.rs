@@ -19,7 +19,7 @@
 //! `--scale 0.02 --reps 1`.
 
 use ppa_assembler::stats::WorkflowStats;
-use ppa_assembler::{assemble, Assembly, AssemblyConfig};
+use ppa_assembler::{try_assemble, Assembly, AssemblyConfig};
 use ppa_pregel::{ExecCtx, SpillPolicy};
 use ppa_readsim::presets::sim_xl;
 use std::time::Instant;
@@ -145,7 +145,8 @@ fn main() {
     // Calibration run: the resident peak sets the caps. Also the reference
     // fingerprint every capped run must reproduce byte for byte.
     eprintln!("calibrating: SpillPolicy::Off...");
-    let baseline = assemble(reads, &config(&ctx, SpillPolicy::Off));
+    let baseline =
+        try_assemble(reads, &config(&ctx, SpillPolicy::Off)).expect("resident assembly succeeds");
     let reference = fingerprint(&baseline);
     let resident_peak = peak_store_bytes(&baseline.stats);
     assert_eq!(
@@ -184,7 +185,8 @@ fn main() {
                 Some(bytes) => SpillPolicy::At(bytes),
             };
             let start = Instant::now();
-            let run = assemble(reads, &config(&ctx, policy));
+            let run =
+                try_assemble(reads, &config(&ctx, policy)).expect("spilled assembly succeeds");
             let elapsed = start.elapsed().as_secs_f64();
             assert_eq!(
                 fingerprint(&run),

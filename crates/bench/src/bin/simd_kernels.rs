@@ -10,7 +10,7 @@
 //! * **kmer_compare** — packed `DnaString` ordering and canonical-strand
 //!   picks, word-parallel vs decoded base-by-base.
 //!
-//! Then **assemble_e2e** — whole `workflow::assemble`, scalar twins vs the
+//! Then **assemble_e2e** — whole `workflow::try_assemble`, scalar twins vs the
 //! full vectorized configuration.
 //!
 //! Workloads interleave their baseline and vectorized reps (B T B T …)
@@ -20,7 +20,7 @@
 //! Run from the repository root: `cargo run -p ppa_bench --release --bin
 //! simd_kernels [--reps N] [--out PATH]`.
 
-use ppa_assembler::workflow::{assemble, AssemblyConfig};
+use ppa_assembler::workflow::{try_assemble, AssemblyConfig};
 use ppa_bench::SnapshotArgs;
 use ppa_pregel::kernels;
 use ppa_readsim::preset_by_name;
@@ -229,7 +229,8 @@ fn main() {
         config.k
     );
     let run = || {
-        black_box(assemble(&dataset.reads, &config).contigs.len());
+        let assembly = try_assemble(&dataset.reads, &config).expect("assembly succeeds");
+        black_box(assembly.contigs.len());
     };
     let (baseline, simd) = paired(reps, |is_scalar| {
         if is_scalar {
@@ -240,7 +241,7 @@ fn main() {
     });
     workloads.push(Workload {
         name: "assemble_e2e",
-        description: "whole workflow::assemble on sim-hc2 ×0.5: scalar twins vs the full \
+        description: "whole workflow::try_assemble on sim-hc2 ×0.5: scalar twins vs the full \
                       vectorized configuration"
             .to_string(),
         baseline_name: "scalar",

@@ -43,7 +43,8 @@ fn main() {
             Pipeline::paper_workflow(&config)
                 .observe(&mut stats)
                 .observe(&mut progress)
-                .run(&mut state, &ExecCtx::new(workers));
+                .try_run(&mut state, &ExecCtx::new(workers))
+                .expect("the paper workflow runs");
             per_algo.push((name, stats));
         }
         let (lr, sv) = (&per_algo[0].1, &per_algo[1].1);

@@ -22,9 +22,10 @@
 //! 5. **Tip removing** ([`ops::tip`]) — removes short dangling paths via the
 //!    REQUEST/DELETE message protocol.
 //!
-//! [`workflow::assemble`] wires the operations into the paper's evaluation
-//! workflow (①②③④⑤⑥②③ — grow contigs once more after error correction), and
-//! every operation can also be called individually to build custom pipelines.
+//! [`workflow::try_assemble`] wires the operations into the paper's
+//! evaluation workflow (①②③④⑤⑥②③ — grow contigs once more after error
+//! correction), and every operation can also be called individually, on the
+//! caller's [`ppa_pregel::ExecCtx`], to build custom pipelines.
 //!
 //! ## Build your own workflow
 //!
@@ -33,14 +34,14 @@
 //! stages over a shared [`pipeline::GraphState`], `.repeat(n, stages)`
 //! expresses correction loops, and `.observe(observer)` attaches
 //! [`pipeline::PipelineObserver`] hooks for timing/stats — the
-//! [`stats::WorkflowStats`] every `assemble()` run returns is itself such an
-//! observer. See the [`pipeline`] module docs for a worked example;
-//! [`pipeline::Pipeline::paper_workflow`] is the preset `assemble()` uses.
+//! [`stats::WorkflowStats`] every `try_assemble()` run returns is itself such
+//! an observer. See the [`pipeline`] module docs for a worked example;
+//! [`pipeline::Pipeline::paper_workflow`] is the preset `try_assemble()` uses.
 //!
 //! ## Quick start
 //!
 //! ```
-//! use ppa_assembler::workflow::{assemble, AssemblyConfig};
+//! use ppa_assembler::workflow::{try_assemble, AssemblyConfig};
 //! use ppa_readsim::{GenomeConfig, ReadSimConfig};
 //!
 //! // Simulate a small error-free read set...
@@ -50,7 +51,7 @@
 //!
 //! // ...and assemble it.
 //! let config = AssemblyConfig { k: 21, workers: 2, ..Default::default() };
-//! let assembly = assemble(&reads, &config);
+//! let assembly = try_assemble(&reads, &config).expect("assembly succeeds");
 //! assert!(!assembly.contigs.is_empty());
 //! assert!(assembly.stats.total_elapsed.as_nanos() > 0);
 //! ```
@@ -79,6 +80,6 @@ pub use pipeline::{
 pub use polarity::{Direction, Polarity, Side};
 pub use ppa_pregel::{CancelReason, JobControl};
 pub use workflow::{
-    assemble, assemble_with_checkpoints, assemble_with_control, read_input, read_input_path,
-    resume_assembly, try_assemble, Assembly, AssemblyConfig, Contig, LabelingAlgorithm,
+    assemble_with_control, read_input, read_input_path, try_assemble, Assembly, AssemblyConfig,
+    Contig, LabelingAlgorithm,
 };

@@ -8,8 +8,9 @@
 //! mixture of both kinds, and the later operations — bubble filtering, tip
 //! removing, the second labeling/merging round — treat them uniformly.
 //! [`AsmNode`] is that uniform representation; [`KmerVertex`] is the compact
-//! construction-time form that gets converted into it (the in-memory job
-//! concatenation of the paper).
+//! construction-time form that the pipeline expands into it in memory
+//! between the construction and labeling jobs (the paper's in-memory job
+//! concatenation).
 
 use crate::adj::PackedAdj;
 use crate::ids;
@@ -266,7 +267,7 @@ impl KmerVertex {
     }
 
     /// Expands the packed adjacency into the unified [`AsmNode`] form — the
-    /// `convert(.)` step between the DBG-construction job and the
+    /// in-memory hand-off between the DBG-construction job and the
     /// contig-labeling job.
     pub fn to_asm_node(&self) -> AsmNode {
         let mut node = AsmNode::new_kmer(self.kmer);

@@ -18,7 +18,7 @@
 
 use crate::adj::{edge_contributions, PackedAdj};
 use crate::node::KmerVertex;
-use ppa_pregel::mapreduce::{map_reduce_spillable_on, Emitter, MapReduceMetrics};
+use ppa_pregel::mapreduce::{map_reduce_spillable, Emitter, MapReduceMetrics};
 use ppa_pregel::ExecCtx;
 use ppa_seq::kmer::CanonicalScanner;
 use ppa_seq::{Base, FastxRecord, Kmer, ReadSet};
@@ -92,8 +92,8 @@ pub struct ConstructOutcome {
 
 impl ConstructOutcome {
     /// Expands every vertex into the unified [`crate::AsmNode`] representation
-    /// (the in-memory `convert(.)` hand-off to the contig-labeling job),
-    /// consuming the outcome. Use [`to_nodes`](ConstructOutcome::to_nodes)
+    /// (the in-memory hand-off to the contig-labeling job), consuming the
+    /// outcome. Use [`to_nodes`](ConstructOutcome::to_nodes)
     /// when the compact vertices are still needed afterwards.
     pub fn into_nodes(self) -> Vec<crate::AsmNode> {
         self.to_nodes()
@@ -106,17 +106,10 @@ impl ConstructOutcome {
     }
 }
 
-/// Runs DBG construction over a read set on a private pool of `workers`
-/// threads (inside a workflow, prefer [`build_dbg_on`] with the shared
-/// context).
-pub fn build_dbg(reads: &ReadSet, config: &ConstructConfig, workers: usize) -> ConstructOutcome {
-    build_dbg_on(&ExecCtx::new(workers), reads, config)
-}
-
-/// Runs DBG construction on a caller-provided execution context: both
-/// mini-MapReduce phases dispatch onto its persistent worker pool, and the
-/// worker count is the pool size.
-pub fn build_dbg_on(ctx: &ExecCtx, reads: &ReadSet, config: &ConstructConfig) -> ConstructOutcome {
+/// Runs DBG construction over a read set on the worker pool of `ctx`: both
+/// mini-MapReduce phases dispatch onto it, and the worker count is the pool
+/// size.
+pub fn build_dbg(ctx: &ExecCtx, reads: &ReadSet, config: &ConstructConfig) -> ConstructOutcome {
     assert!(
         config.k >= 1 && config.k <= 31,
         "k must be in 1..=31 so that k-mer vertex IDs leave the top two bits free"
@@ -131,7 +124,7 @@ pub fn build_dbg_on(ctx: &ExecCtx, reads: &ReadSet, config: &ConstructConfig) ->
     // disk once its buffers exceed the per-worker budget, and without one
     // the pass is byte-identical to the resident mini MapReduce.
     let batches: Vec<&[FastxRecord]> = reads.records.chunks(config.batch_size.max(1)).collect();
-    let (counted, phase1) = map_reduce_spillable_on(
+    let (counted, phase1) = map_reduce_spillable(
         ctx,
         batches,
         |batch: &[FastxRecord], out: &mut Emitter<'_, u64, u32>| {
@@ -191,7 +184,7 @@ pub fn build_dbg_on(ctx: &ExecCtx, reads: &ReadSet, config: &ConstructConfig) ->
     let kept_kplus1 = counted.len() as u64;
 
     // ---- phase (ii): build k-mer vertices with packed adjacency -------------
-    let (vertices, phase2) = map_reduce_spillable_on(
+    let (vertices, phase2) = map_reduce_spillable(
         ctx,
         counted,
         |(packed, count): (u64, u32), out: &mut Emitter<'_, u64, (u8, u32)>| {
@@ -249,7 +242,7 @@ mod tests {
     }
 
     fn dbg(reads: &ReadSet, config: &ConstructConfig) -> ConstructOutcome {
-        build_dbg(reads, config, 3)
+        build_dbg(&ExecCtx::new(3), reads, config)
     }
 
     #[test]
@@ -369,12 +362,12 @@ mod tests {
     #[should_panic(expected = "k must be in")]
     fn oversized_k_rejected() {
         build_dbg(
+            &ExecCtx::new(2),
             &ReadSet::new(),
             &ConstructConfig {
                 k: 32,
                 ..Default::default()
             },
-            2,
         );
     }
 

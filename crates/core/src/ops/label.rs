@@ -39,9 +39,7 @@ use crate::node::{AsmNode, VertexType};
 use crate::polarity::Side;
 use ppa_pregel::aggregate::Count;
 use ppa_pregel::algorithms::connected_components;
-use ppa_pregel::{
-    Context, ExecCtx, Metrics, PregelConfig, SpillCodec, SpillCodecs, VertexProgram, VertexSet,
-};
+use ppa_pregel::{Context, ExecCtx, Metrics, SpillCodec, SpillCodecs, VertexProgram, VertexSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Result of a contig-labeling run (either algorithm).
@@ -58,6 +56,10 @@ pub struct LabelOutcome {
     /// Whether the S-V fallback was needed (unambiguous cycles present).
     pub used_cycle_fallback: bool,
 }
+
+/// Superstep cap of the labeling jobs (either algorithm). Both finish in
+/// `O(log n)` supersteps, so the cap is only a guard against a runaway job.
+pub(crate) const MAX_SUPERSTEPS: usize = 4_000;
 
 const LEFT: usize = 0;
 const RIGHT: usize = 1;
@@ -398,24 +400,16 @@ enum Outcome {
 
 /// Labels every maximal unambiguous path using bidirectional list ranking,
 /// falling back to the simplified S-V algorithm for unambiguous cycles.
-/// (Private worker pool; inside a workflow, prefer [`label_contigs_lr_on`].)
-pub fn label_contigs_lr(nodes: &[AsmNode], workers: usize) -> LabelOutcome {
-    label_contigs_lr_on(&ExecCtx::new(workers), nodes)
-}
-
-/// [`label_contigs_lr`] on a caller-provided execution context: the list-
-/// ranking job and its S-V cycle fallback both run on the context's
-/// persistent pool (worker count = pool size).
-pub fn label_contigs_lr_on(ctx: &ExecCtx, nodes: &[AsmNode]) -> LabelOutcome {
-    let config = PregelConfig::with_workers(ctx.workers())
-        .max_supersteps(4_000)
-        .exec_ctx(ctx.clone());
+/// The list-ranking job and its S-V cycle fallback both run on the worker
+/// pool of `ctx` (worker count = pool size).
+pub fn label_contigs_lr(ctx: &ExecCtx, nodes: &[AsmNode]) -> LabelOutcome {
+    let workers = ctx.workers();
     let program = LrProgram::new(nodes.len());
     let (table, states) = IdTable::map_graph(ctx, nodes, lr_state);
     let mut set: VertexSet<u32, LrState> =
-        VertexSet::from_pairs(config.workers, states.into_iter().flatten());
+        VertexSet::from_pairs(workers, states.into_iter().flatten());
 
-    let mut metrics = ppa_pregel::run(&program, &config, &mut set);
+    let mut metrics = ppa_pregel::run(ctx, &program, &mut set, MAX_SUPERSTEPS);
     let stalled = program.stalled.load(Ordering::Relaxed);
 
     let mut outcome = vec![Outcome::Absent; table.len()];
@@ -449,7 +443,7 @@ pub fn label_contigs_lr_on(ctx: &ExecCtx, nodes: &[AsmNode]) -> LabelOutcome {
                 (rank, nbrs)
             })
             .collect();
-        let (cc, sv_metrics) = connected_components(adjacency, &config);
+        let (cc, sv_metrics) = connected_components(ctx, adjacency, MAX_SUPERSTEPS);
         metrics.absorb(&sv_metrics);
         for (rank, label) in cc {
             outcome[rank as usize] = Outcome::Cycle(label);
@@ -457,20 +451,19 @@ pub fn label_contigs_lr_on(ctx: &ExecCtx, nodes: &[AsmNode]) -> LabelOutcome {
     }
 
     // Path labels, then cycle labels, each in `u64` partition order.
-    let mut labels =
-        table.in_partition_order(config.workers, |rank, id| match outcome[rank as usize] {
-            Outcome::Path(label) => Some((id, table.id(label))),
-            _ => None,
-        });
+    let mut labels = table.in_partition_order(workers, |rank, id| match outcome[rank as usize] {
+        Outcome::Path(label) => Some((id, table.id(label))),
+        _ => None,
+    });
     if used_cycle_fallback {
-        labels.extend(table.in_partition_order(config.workers, |rank, id| {
-            match outcome[rank as usize] {
+        labels.extend(
+            table.in_partition_order(workers, |rank, id| match outcome[rank as usize] {
                 Outcome::Cycle(label) => Some((id, table.id(label))),
                 _ => None,
-            }
-        }));
+            }),
+        );
     }
-    let ambiguous = table.in_partition_order(config.workers, |rank, id| {
+    let ambiguous = table.in_partition_order(workers, |rank, id| {
         matches!(outcome[rank as usize], Outcome::Ambiguous).then_some(id)
     });
 
@@ -501,13 +494,13 @@ pub(crate) mod tests {
                 .collect(),
         );
         build_dbg(
+            &ExecCtx::new(2),
             &reads,
             &ConstructConfig {
                 k,
                 min_coverage: 0,
                 batch_size: 4,
             },
-            2,
         )
         .into_nodes()
     }
@@ -586,7 +579,7 @@ pub(crate) mod tests {
         // seven vertices share one label.
         let nodes = nodes_from_reads(&["CTGCCGT", "CCGTACA"], 4);
         assert_eq!(nodes.len(), 7);
-        let outcome = label_contigs_lr(&nodes, 3);
+        let outcome = label_contigs_lr(&ExecCtx::new(3), &nodes);
         assert!(outcome.ambiguous.is_empty());
         assert_eq!(outcome.labels.len(), 7);
         let groups = groups_of(&outcome);
@@ -616,7 +609,7 @@ pub(crate) mod tests {
         // Two reads diverge after a shared prefix; the fork vertex is ⟨m-n⟩ and
         // must not be labelled, and the branches get distinct labels.
         let nodes = nodes_from_reads(&["TTACTTGATCCG", "TTACTTGAACGG"], 5);
-        let outcome = label_contigs_lr(&nodes, 2);
+        let outcome = label_contigs_lr(&ExecCtx::new(2), &nodes);
         assert!(
             !outcome.ambiguous.is_empty(),
             "the fork must create ambiguous vertices"
@@ -648,7 +641,7 @@ pub(crate) mod tests {
             ],
             5,
         );
-        let outcome = label_contigs_lr(&nodes, 3);
+        let outcome = label_contigs_lr(&ExecCtx::new(3), &nodes);
         assert_eq!(
             groups_sorted(&outcome),
             unambiguous_component_oracle(&nodes)
@@ -699,7 +692,7 @@ pub(crate) mod tests {
     fn cycle_falls_back_to_sv() {
         let nodes = synthetic_cycle(12);
         assert!(nodes.iter().all(|n| n.vertex_type() == VertexType::OneOne));
-        let outcome = label_contigs_lr(&nodes, 2);
+        let outcome = label_contigs_lr(&ExecCtx::new(2), &nodes);
         assert!(
             outcome.used_cycle_fallback,
             "cycles require the S-V fallback"
@@ -719,7 +712,7 @@ pub(crate) mod tests {
         // must still match the component oracle.
         let mut nodes = nodes_from_reads(&["CTGCCGT", "CCGTACA"], 4);
         nodes.extend(synthetic_cycle(8));
-        let outcome = label_contigs_lr(&nodes, 3);
+        let outcome = label_contigs_lr(&ExecCtx::new(3), &nodes);
         assert!(outcome.used_cycle_fallback);
         assert_eq!(
             groups_sorted(&outcome),
@@ -729,7 +722,7 @@ pub(crate) mod tests {
 
     #[test]
     fn empty_input() {
-        let outcome = label_contigs_lr(&[], 2);
+        let outcome = label_contigs_lr(&ExecCtx::new(2), &[]);
         assert!(outcome.labels.is_empty());
         assert!(outcome.ambiguous.is_empty());
         assert!(outcome.metrics.converged);
@@ -739,7 +732,7 @@ pub(crate) mod tests {
     fn two_vertex_path() {
         let nodes = nodes_from_reads(&["ACGGTC"], 5);
         assert_eq!(nodes.len(), 2);
-        let outcome = label_contigs_lr(&nodes, 1);
+        let outcome = label_contigs_lr(&ExecCtx::new(1), &nodes);
         assert_eq!(groups_of(&outcome).len(), 1);
         assert_eq!(outcome.labels.len(), 2);
     }
@@ -767,13 +760,13 @@ pub(crate) mod tests {
         }
         .simulate(&genome);
         build_dbg(
+            &ExecCtx::new(2),
             &reads,
             &ConstructConfig {
                 k: 15,
                 min_coverage: 0,
                 batch_size: 64,
             },
-            2,
         )
         .into_nodes()
     }
@@ -834,7 +827,7 @@ pub(crate) mod tests {
                 .filter(|n| n.vertex_type() == VertexType::Branch)
                 .map(|n| n.id);
             for workers in [1, 2, 3, 7] {
-                let outcome = label_contigs_lr(nodes, workers);
+                let outcome = label_contigs_lr(&ExecCtx::new(workers), nodes);
                 // Path labels first, then the cycle fallback's labels, each in
                 // partition order.
                 let on_cycle = |cycle: bool| {
@@ -882,7 +875,7 @@ pub(crate) mod tests {
         for workers in [1, 2, 3] {
             // Neither half ever reaches its far contig end, so list ranking
             // hands both to the cycle fallback: smallest ID per half.
-            let outcome = label_contigs_lr(&nodes, workers);
+            let outcome = label_contigs_lr(&ExecCtx::new(workers), &nodes);
             assert!(outcome.used_cycle_fallback);
             assert!(outcome.metrics.total_dropped > 0);
             let got: HashMap<u64, u64> = outcome.labels.iter().copied().collect();

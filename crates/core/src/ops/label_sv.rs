@@ -19,26 +19,16 @@
 //! so the smallest rank of a component is the rank of its smallest ID. The
 //! labels are mapped back in the order a `u64`-keyed job would return them.
 
-use super::label::LabelOutcome;
+use super::label::{LabelOutcome, MAX_SUPERSTEPS};
 use crate::ids::IdTable;
 use crate::node::{AsmNode, VertexType};
 use ppa_pregel::algorithms::connected_components;
-use ppa_pregel::{ExecCtx, PregelConfig};
+use ppa_pregel::ExecCtx;
 
 /// Labels every maximal unambiguous path with the smallest vertex ID of the
-/// path, using the simplified S-V algorithm. (Private worker pool; inside a
-/// workflow, prefer [`label_contigs_sv_on`].)
-pub fn label_contigs_sv(nodes: &[AsmNode], workers: usize) -> LabelOutcome {
-    label_contigs_sv_on(&ExecCtx::new(workers), nodes)
-}
-
-/// [`label_contigs_sv`] on a caller-provided execution context: the S-V job
-/// runs on the context's persistent pool (worker count = pool size).
-pub fn label_contigs_sv_on(ctx: &ExecCtx, nodes: &[AsmNode]) -> LabelOutcome {
-    let config = PregelConfig::with_workers(ctx.workers())
-        .max_supersteps(4_000)
-        .exec_ctx(ctx.clone());
-
+/// path, using the simplified S-V algorithm. The S-V job runs on the worker
+/// pool of `ctx` (worker count = pool size).
+pub fn label_contigs_sv(ctx: &ExecCtx, nodes: &[AsmNode]) -> LabelOutcome {
     let (table, mapped) = IdTable::map_graph(ctx, nodes, |table, _, node| {
         let branch = node.vertex_type() == VertexType::Branch;
         let nbrs: Vec<u32> = node.real_edges().map(|e| table.rank(e.neighbor)).collect();
@@ -62,12 +52,12 @@ pub fn label_contigs_sv_on(ctx: &ExecCtx, nodes: &[AsmNode]) -> LabelOutcome {
         })
         .collect();
 
-    let (cc, metrics) = connected_components(adjacency, &config);
+    let (cc, metrics) = connected_components(ctx, adjacency, MAX_SUPERSTEPS);
     let mut label = vec![None; table.len()];
     for (rank, root) in cc {
         label[rank as usize] = Some(root);
     }
-    let labels = table.in_partition_order(config.workers, |rank, id| {
+    let labels = table.in_partition_order(ctx.workers(), |rank, id| {
         label[rank as usize].map(|root| (id, table.id(root)))
     });
     // Ambiguous vertices in node order.
@@ -97,7 +87,7 @@ mod tests {
     #[test]
     fn sv_matches_oracle_on_simple_path() {
         let nodes = nodes_from_reads(&["CTGCCGT", "CCGTACA"], 4);
-        let outcome = label_contigs_sv(&nodes, 2);
+        let outcome = label_contigs_sv(&ExecCtx::new(2), &nodes);
         assert_eq!(
             groups_sorted(&outcome),
             unambiguous_component_oracle(&nodes)
@@ -117,8 +107,8 @@ mod tests {
         ];
         for seqs in inputs {
             let nodes = nodes_from_reads(&seqs, 5);
-            let lr = label_contigs_lr(&nodes, 2);
-            let sv = label_contigs_sv(&nodes, 2);
+            let lr = label_contigs_lr(&ExecCtx::new(2), &nodes);
+            let sv = label_contigs_sv(&ExecCtx::new(2), &nodes);
             assert_eq!(
                 groups_sorted(&lr),
                 groups_sorted(&sv),
@@ -136,7 +126,7 @@ mod tests {
     fn sv_handles_cycles_without_fallback() {
         // S-V needs no special casing for cycles, unlike list ranking.
         let nodes = nodes_from_reads(&["CTGCCGT", "CCGTACA"], 4);
-        let outcome = label_contigs_sv(&nodes, 2);
+        let outcome = label_contigs_sv(&ExecCtx::new(2), &nodes);
         assert!(!outcome.used_cycle_fallback);
     }
 
@@ -161,8 +151,8 @@ mod tests {
                 .all(|n| n.vertex_type() != crate::node::VertexType::Branch),
             "the repeat-free genome must not create ambiguous vertices"
         );
-        let lr = label_contigs_lr(&nodes, 2);
-        let sv = label_contigs_sv(&nodes, 2);
+        let lr = label_contigs_lr(&ExecCtx::new(2), &nodes);
+        let sv = label_contigs_sv(&ExecCtx::new(2), &nodes);
         assert!(!lr.used_cycle_fallback);
         assert_eq!(groups_sorted(&lr), groups_sorted(&sv));
         assert!(
@@ -181,7 +171,7 @@ mod tests {
 
     #[test]
     fn sv_empty_input() {
-        let outcome = label_contigs_sv(&[], 2);
+        let outcome = label_contigs_sv(&ExecCtx::new(2), &[]);
         assert!(outcome.labels.is_empty());
         assert!(outcome.ambiguous.is_empty());
     }
@@ -204,7 +194,7 @@ mod tests {
                 .collect();
             assert!(!branches.is_empty());
             for workers in [1, 2, 3, 7] {
-                let outcome = label_contigs_sv(&nodes, workers);
+                let outcome = label_contigs_sv(&ExecCtx::new(workers), &nodes);
                 let want: Vec<(u64, u64)> = partition_order(workers, smallest.keys().copied())
                     .into_iter()
                     .map(|id| (id, smallest[&id]))
@@ -226,7 +216,7 @@ mod tests {
             .position(|n| n.vertex_type() == VertexType::OneOne)
             .unwrap();
         nodes.remove(inner);
-        let outcome = label_contigs_sv(&nodes, 3);
+        let outcome = label_contigs_sv(&ExecCtx::new(3), &nodes);
         assert!(outcome.metrics.total_dropped > 0);
         assert_eq!(
             groups_sorted(&outcome),

@@ -1,6 +1,7 @@
 //! The five assembly operations of Figure 10.
 //!
-//! Each operation is a standalone function that consumes and produces plain
+//! Each operation is a standalone function that takes the caller's
+//! [`ExecCtx`](ppa_pregel::ExecCtx) first and consumes and produces plain
 //! collections of graph nodes, so that users can compose them into custom
 //! workflows exactly as the paper advertises ("users may combine the provided
 //! operations to implement various sequencing strategies"). Each is also
@@ -15,9 +16,9 @@ pub mod label_sv;
 pub mod merge;
 pub mod tip;
 
-pub use bubble::{filter_bubbles, filter_bubbles_on, BubbleConfig, BubbleOutcome};
-pub use construct::{build_dbg, build_dbg_on, ConstructConfig, ConstructOutcome};
-pub use label::{label_contigs_lr, label_contigs_lr_on, LabelOutcome};
-pub use label_sv::{label_contigs_sv, label_contigs_sv_on};
-pub use merge::{merge_contigs, merge_contigs_on, MergeConfig, MergeOutcome};
-pub use tip::{remove_tips, remove_tips_on, TipConfig, TipOutcome};
+pub use bubble::{filter_bubbles, BubbleConfig, BubbleOutcome};
+pub use construct::{build_dbg, ConstructConfig, ConstructOutcome};
+pub use label::{label_contigs_lr, LabelOutcome};
+pub use label_sv::label_contigs_sv;
+pub use merge::{merge_contigs, MergeConfig, MergeOutcome};
+pub use tip::{remove_tips, TipConfig, TipOutcome};

@@ -16,8 +16,8 @@
 //! * [`Pipeline`] — the builder: [`then`](Pipeline::then) appends a stage,
 //!   [`repeat`](Pipeline::repeat) loops a block of stages (the paper's
 //!   ④⑤⑥②③ error-correction rounds), [`observe`](Pipeline::observe) attaches
-//!   a [`PipelineObserver`], and [`run`](Pipeline::run) executes the stages
-//!   on an [`ExecCtx`] worker pool.
+//!   a [`PipelineObserver`], and [`try_run`](Pipeline::try_run) executes the
+//!   stages on an [`ExecCtx`] worker pool.
 //! * [`PipelineObserver`] — timing/stats instrumentation as a hook instead of
 //!   inline code: the runner measures every stage and delivers a
 //!   [`StageReport`]; [`WorkflowStats`] *is* the built-in observer (it
@@ -25,8 +25,8 @@
 //!   [`StageLogger`] prints per-stage progress for the bench harnesses.
 //!
 //! [`Pipeline::paper_workflow`] is the preset for the paper's evaluation
-//! workflow ①②③(④⑤②③)×r; [`crate::workflow::assemble`] is now a thin wrapper
-//! over it.
+//! workflow ①②③(④⑤②③)×r; [`crate::workflow::try_assemble`] is a thin
+//! wrapper over it.
 //!
 //! # Build your own workflow
 //!
@@ -68,7 +68,9 @@
 //!     .observe(&mut stats);
 //!
 //! let mut state = GraphState::new(&reads);
-//! let reports = pipeline.run(&mut state, &ExecCtx::new(workers));
+//! let reports = pipeline
+//!     .try_run(&mut state, &ExecCtx::new(workers))
+//!     .expect("the pipeline runs");
 //! assert!(!state.output.is_empty());
 //! assert_eq!(reports.len(), 8); // construct, label, merge, 2 × tips, label, merge, filter
 //! assert!(stats.total_elapsed.as_nanos() > 0);
@@ -76,12 +78,12 @@
 
 use crate::checkpoint::{self, CheckpointError, CheckpointMeta, Fnv64};
 use crate::node::AsmNode;
-use crate::ops::bubble::{filter_bubbles_on, remove_pruned, BubbleConfig};
-use crate::ops::construct::{build_dbg_on, ConstructConfig, ConstructStats};
-use crate::ops::label::{label_contigs_lr_on, LabelOutcome};
-use crate::ops::label_sv::label_contigs_sv_on;
-use crate::ops::merge::{merge_contigs_on, MergeConfig};
-use crate::ops::tip::{remove_tips_on, TipConfig};
+use crate::ops::bubble::{filter_bubbles, remove_pruned, BubbleConfig};
+use crate::ops::construct::{build_dbg, ConstructConfig, ConstructStats};
+use crate::ops::label::{label_contigs_lr, LabelOutcome};
+use crate::ops::label_sv::label_contigs_sv;
+use crate::ops::merge::{merge_contigs, MergeConfig};
+use crate::ops::tip::{remove_tips, TipConfig};
 use crate::stats::{n50, CorrectionStats, LabelStats, MergeStats, WorkflowStats};
 use crate::workflow::{AssemblyConfig, Contig, LabelingAlgorithm};
 use ppa_pregel::engine::panic_message;
@@ -97,7 +99,7 @@ use std::time::{Duration, Instant};
 // ---------------------------------------------------------------------------
 
 /// The unified working state a [`Pipeline`] threads through its stages: what
-/// `assemble()` used to shuttle between operations as local variables.
+/// the operations would otherwise shuttle between them as local variables.
 ///
 /// All fields are public so custom [`Stage`]s can transform the state freely;
 /// the invariants the built-in stages maintain are documented per field.
@@ -150,12 +152,10 @@ impl<'r> GraphState<'r> {
 /// A recoverable pipeline failure, as returned by [`Pipeline::try_run`],
 /// [`Pipeline::resume`] and [`Pipeline::try_run_with_retries`].
 ///
-/// [`Pipeline::run`] keeps the historical panicking contract; the `try_*`
-/// entry points catch stage panics at the stage boundary (worker panics
-/// already unwind cleanly to the dispatching thread, leaving the pool
-/// reusable) and convert them — together with checkpoint I/O failures and
-/// malformed input — into this type so a driver can retry from the last
-/// snapshot.
+/// All three catch stage panics at the stage boundary (worker panics already
+/// unwind cleanly to the dispatching thread, leaving the pool reusable) and
+/// convert them — together with checkpoint I/O failures and malformed input
+/// — into this type so the caller can retry from the last snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PipelineError {
     /// The input reads could not be parsed (malformed FASTA/FASTQ).
@@ -412,7 +412,7 @@ impl StageDetails {
 /// runner then fills in `round` (the 1-based occurrence of this stage name
 /// within the run) and `elapsed` (measured around the stage) before
 /// delivering it to the observers and returning it from
-/// [`Pipeline::run`].
+/// [`Pipeline::try_run`].
 #[derive(Debug, Clone)]
 pub struct StageReport {
     /// The stage's [`name`](Stage::name).
@@ -637,7 +637,7 @@ impl Stage for Construct {
     }
 
     fn run(&self, state: &mut GraphState<'_>, ctx: &ExecCtx) -> StageReport {
-        let outcome = build_dbg_on(ctx, state.reads, &self.config);
+        let outcome = build_dbg(ctx, state.reads, &self.config);
         let stats = outcome.stats.clone();
         state.nodes = outcome.into_nodes();
         state.labels = None;
@@ -705,8 +705,8 @@ impl Stage for Label {
                 .collect();
         }
         let outcome = match self.algorithm {
-            LabelingAlgorithm::ListRanking => label_contigs_lr_on(ctx, &state.nodes),
-            LabelingAlgorithm::SimplifiedSV => label_contigs_sv_on(ctx, &state.nodes),
+            LabelingAlgorithm::ListRanking => label_contigs_lr(ctx, &state.nodes),
+            LabelingAlgorithm::SimplifiedSV => label_contigs_sv(ctx, &state.nodes),
         };
         let stats = LabelStats::from_metrics(
             &outcome.metrics,
@@ -754,7 +754,7 @@ impl Stage for Merge {
             .labels
             .take()
             .expect("the Merge stage requires a preceding Label stage");
-        let merged = merge_contigs_on(ctx, &state.nodes, &labels.labels, &self.config);
+        let merged = merge_contigs(ctx, &state.nodes, &labels.labels, &self.config);
         let stats = MergeStats {
             groups: merged.groups,
             contigs: merged.contigs.len(),
@@ -810,7 +810,7 @@ impl Stage for FilterBubbles {
     }
 
     fn run(&self, state: &mut GraphState<'_>, ctx: &ExecCtx) -> StageReport {
-        let outcome = filter_bubbles_on(ctx, &state.contigs, &self.config);
+        let outcome = filter_bubbles(ctx, &state.contigs, &self.config);
         remove_pruned(&mut state.contigs, &outcome.pruned);
         StageReport::new(
             self.name(),
@@ -850,7 +850,7 @@ impl Stage for RemoveTips {
     }
 
     fn run(&self, state: &mut GraphState<'_>, ctx: &ExecCtx) -> StageReport {
-        let tips = remove_tips_on(ctx, &state.ambiguous_kmers, &state.contigs, &self.config);
+        let tips = remove_tips(ctx, &state.ambiguous_kmers, &state.contigs, &self.config);
         // The mixed working set is rebuilt lazily by the next Label stage, so
         // consecutive tip rounds do not each materialise a full graph copy.
         state.nodes.clear();
@@ -961,7 +961,8 @@ fn flattened(items: &[PipelineItem]) -> Vec<&dyn Stage> {
 /// A composed sequence of [`Stage`]s with attached [`PipelineObserver`]s.
 ///
 /// Built with [`then`](Pipeline::then) / [`repeat`](Pipeline::repeat) /
-/// [`observe`](Pipeline::observe); executed with [`run`](Pipeline::run). The
+/// [`observe`](Pipeline::observe); executed with
+/// [`try_run`](Pipeline::try_run). The
 /// lifetime parameter is the borrow of the attached observers.
 ///
 /// # Fault tolerance
@@ -1010,7 +1011,7 @@ impl<'o> Pipeline<'o> {
     }
 
     /// Attaches an observer; every attached observer sees every stage
-    /// boundary of [`run`](Pipeline::run).
+    /// boundary of a run.
     pub fn observe(mut self, observer: &'o mut dyn PipelineObserver) -> Pipeline<'o> {
         self.observers.push(observer);
         self
@@ -1030,7 +1031,7 @@ impl<'o> Pipeline<'o> {
         self
     }
 
-    /// The number of stage executions one `run` performs.
+    /// The number of stage executions one run performs.
     pub fn stage_count(&self) -> usize {
         self.items
             .iter()
@@ -1044,7 +1045,7 @@ impl<'o> Pipeline<'o> {
     /// The paper's evaluation workflow ①②③(④⑤②③)×r plus the final length
     /// filter, parameterised by an [`AssemblyConfig`].
     ///
-    /// [`crate::workflow::assemble`] runs exactly this pipeline; build it
+    /// [`crate::workflow::try_assemble`] runs exactly this pipeline; build it
     /// yourself to attach extra observers or to splice in custom stages.
     pub fn paper_workflow(config: &AssemblyConfig) -> Pipeline<'o> {
         let merge_cfg = MergeConfig {
@@ -1096,19 +1097,17 @@ impl<'o> Pipeline<'o> {
 
     /// The shared execution core: runs the flattened stages from `start_at`,
     /// threading the per-stage-name round counters and appending one report
-    /// per completed stage. With `catch` set, a stage panic is caught at the
-    /// stage boundary and returned as [`PipelineError::Stage`]; without it,
-    /// panics propagate unchanged (the historical [`run`](Pipeline::run)
-    /// contract). Checkpoints are written per the configured policy; injected
-    /// checkpoint-write faults ([`ppa_pregel::FaultPlan`]) surface as
-    /// [`CheckpointError::Io`].
+    /// per completed stage. A stage panic is caught at the stage boundary and
+    /// returned as [`PipelineError::Stage`] (or [`PipelineError::Cancelled`]
+    /// for a mid-stage control trip). Checkpoints are written per the
+    /// configured policy; injected checkpoint-write faults
+    /// ([`ppa_pregel::FaultPlan`]) surface as [`CheckpointError::Io`].
     fn execute(
         &mut self,
         state: &mut GraphState<'_>,
         ctx: &ExecCtx,
         start_at: usize,
         rounds: &mut FxHashMap<String, usize>,
-        catch: bool,
         reports: &mut Vec<StageReport>,
     ) -> Result<(), PipelineError> {
         let fingerprint = self.fingerprint();
@@ -1172,21 +1171,14 @@ impl<'o> Pipeline<'o> {
                 f.enter_stage(idx);
             }
             // The state is only conditionally unwind-safe: a caught panic may
-            // leave it partially mutated. All `catch` callers either discard
-            // it or reload it from a checkpoint before retrying.
-            let outcome = if catch {
-                catch_unwind(AssertUnwindSafe(|| {
-                    if let Some(f) = &faults {
-                        f.probe_stage_entry();
-                    }
-                    stage.run(state, ctx)
-                }))
-            } else {
+            // leave it partially mutated. Every caller either discards it or
+            // reloads it from a checkpoint before retrying.
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
                 if let Some(f) = &faults {
                     f.probe_stage_entry();
                 }
-                Ok(stage.run(state, ctx))
-            };
+                stage.run(state, ctx)
+            }));
             let mut report = match outcome {
                 Ok(report) => report,
                 Err(payload) => {
@@ -1252,31 +1244,10 @@ impl<'o> Pipeline<'o> {
     /// context, returning the per-stage reports (also delivered to the
     /// attached observers).
     ///
-    /// Keeps the historical contract: stage panics propagate unchanged, and a
-    /// checkpoint failure (only possible with
-    /// [`checkpoint_to`](Pipeline::checkpoint_to) enabled) panics too. Use
-    /// [`try_run`](Pipeline::try_run) for typed errors.
-    pub fn run(&mut self, state: &mut GraphState<'_>, ctx: &ExecCtx) -> Vec<StageReport> {
-        let total = Instant::now();
-        for obs in self.observers.iter_mut() {
-            obs.on_pipeline_start();
-        }
-        let mut rounds: FxHashMap<String, usize> = FxHashMap::default();
-        let mut reports: Vec<StageReport> = Vec::new();
-        if let Err(e) = self.execute(state, ctx, 0, &mut rounds, false, &mut reports) {
-            panic!("{e}");
-        }
-        let total = total.elapsed();
-        for obs in self.observers.iter_mut() {
-            obs.on_pipeline_end(total);
-        }
-        reports
-    }
-
-    /// Like [`run`](Pipeline::run), but recoverable: a stage panic (including
-    /// a worker panic propagated through the superstep barrier and injected
-    /// faults) or a checkpoint failure is returned as a [`PipelineError`]
-    /// instead of unwinding, leaving the [`ExecCtx`] worker pool reusable.
+    /// A stage panic (including a worker panic propagated through the
+    /// superstep barrier, a spill I/O failure and injected faults) or a
+    /// checkpoint failure is returned as a [`PipelineError`] instead of
+    /// unwinding, leaving the [`ExecCtx`] worker pool reusable.
     ///
     /// On a [`PipelineError::Stage`], the state may be partially mutated —
     /// reload it from the last checkpoint ([`resume`](Pipeline::resume)) or
@@ -1294,7 +1265,7 @@ impl<'o> Pipeline<'o> {
         }
         let mut rounds: FxHashMap<String, usize> = FxHashMap::default();
         let mut reports: Vec<StageReport> = Vec::new();
-        let result = self.execute(state, ctx, 0, &mut rounds, true, &mut reports);
+        let result = self.execute(state, ctx, 0, &mut rounds, &mut reports);
         let total = total.elapsed();
         for obs in self.observers.iter_mut() {
             obs.on_pipeline_end(total);
@@ -1333,7 +1304,6 @@ impl<'o> Pipeline<'o> {
             ctx,
             manifest.completed_stages,
             &mut rounds,
-            true,
             &mut reports,
         );
         let total = total.elapsed();
@@ -1453,7 +1423,7 @@ impl<'o> Pipeline<'o> {
                     }
                 }
             }
-            result = self.execute(state, ctx, start_at, &mut rounds, true, &mut reports);
+            result = self.execute(state, ctx, start_at, &mut rounds, &mut reports);
             match &result {
                 Ok(()) => break,
                 // Fail fast on non-transient failures: malformed input cannot
@@ -1535,7 +1505,9 @@ mod tests {
         let reads = reads(2_000, 0.0, 7);
         let config = small_config();
         let mut state = GraphState::new(&reads);
-        let reports = Pipeline::paper_workflow(&config).run(&mut state, &ExecCtx::new(2));
+        let reports = Pipeline::paper_workflow(&config)
+            .try_run(&mut state, &ExecCtx::new(2))
+            .expect("the paper workflow runs");
         assert!(!state.output.is_empty());
         // ① ② ③ + (④ ⑤ ② ③) + filter = 8 stage executions for 1 round.
         assert_eq!(reports.len(), 8);
@@ -1560,7 +1532,8 @@ mod tests {
         let mut state = GraphState::new(&reads);
         Pipeline::paper_workflow(&config)
             .observe(&mut stats)
-            .run(&mut state, &ExecCtx::new(2));
+            .try_run(&mut state, &ExecCtx::new(2))
+            .expect("the paper workflow runs");
         assert_eq!(stats.corrections.len(), 1);
         assert_eq!(stats.label_round2.len(), 1);
         assert_eq!(stats.merge_round2.len(), 1);
@@ -1600,22 +1573,38 @@ mod tests {
         let mut state = GraphState::new(&reads);
         let reports = Pipeline::paper_workflow(&config)
             .observe(&mut stats)
-            .run(&mut state, &ExecCtx::new(2));
+            .try_run(&mut state, &ExecCtx::new(2))
+            .expect("the paper workflow runs");
         assert_eq!(reports.len(), 4); // construct, label, merge, filter
         assert!(stats.corrections.is_empty());
         assert_eq!(stats.n50_after_round1, stats.n50_final);
     }
 
+    /// Asserts that `err` is a [`PipelineError::Stage`] of `stage` whose
+    /// message contains `text`.
+    fn assert_stage_error(err: &PipelineError, stage: &str, text: &str) {
+        match err {
+            PipelineError::Stage {
+                stage: failed,
+                message,
+                ..
+            } => {
+                assert_eq!(failed, stage);
+                assert!(message.contains(text), "unexpected message: {message}");
+            }
+            other => panic!("expected a Stage error, got {other:?}"),
+        }
+    }
+
     #[test]
-    #[should_panic(expected = "run RemoveTips before re-labeling")]
-    fn relabeling_an_unrewired_graph_panics() {
+    fn relabeling_an_unrewired_graph_fails_the_stage() {
         // Label after Merge without an intervening RemoveTips used to label
-        // an empty node set and silently discard the assembly; now it panics
-        // with guidance.
+        // an empty node set and silently discard the assembly; now the stage
+        // fails with guidance.
         let reads = reads(2_000, 0.0, 43);
         let config = small_config();
         let mut state = GraphState::new(&reads);
-        Pipeline::new()
+        let err = Pipeline::new()
             .then(Construct::new(ConstructConfig {
                 k: config.k,
                 min_coverage: 0,
@@ -1627,17 +1616,20 @@ mod tests {
                 tip_length_threshold: config.tip_length_threshold,
             }))
             .then(Label::list_ranking())
-            .run(&mut state, &ExecCtx::new(2));
+            .try_run(&mut state, &ExecCtx::new(2))
+            .unwrap_err();
+        assert_stage_error(&err, "label", "run RemoveTips before re-labeling");
     }
 
     #[test]
-    #[should_panic(expected = "requires a preceding Label stage")]
-    fn merge_without_label_panics() {
+    fn merge_without_label_fails_the_stage() {
         let reads = ReadSet::new();
         let mut state = GraphState::new(&reads);
-        Pipeline::new()
+        let err = Pipeline::new()
             .then(Merge::new(MergeConfig::default()))
-            .run(&mut state, &ExecCtx::new(1));
+            .try_run(&mut state, &ExecCtx::new(1))
+            .unwrap_err();
+        assert_stage_error(&err, "merge", "requires a preceding Label stage");
     }
 
     #[test]
@@ -1671,7 +1663,9 @@ mod tests {
             .then(Halve)
             .then(FilterLength::new(0))
             .observe(&mut stats);
-        let reports = pipeline.run(&mut state, &ExecCtx::new(2));
+        let reports = pipeline
+            .try_run(&mut state, &ExecCtx::new(2))
+            .expect("the custom pipeline runs");
         assert_eq!(reports[3].stage, "halve");
         assert!(matches!(reports[3].details, StageDetails::Custom));
         assert!(stats.timings.iter().any(|t| t.stage == "halve"));
@@ -1697,11 +1691,17 @@ mod tests {
 
     #[test]
     fn try_run_matches_run() {
+        // `try_run` leaves the same state as calling every flattened stage's
+        // `Stage::run` in order by hand.
         let reads = reads(2_000, 0.0, 71);
         let config = small_config();
         let ctx = ExecCtx::new(2);
+        let pipeline = Pipeline::paper_workflow(&config);
         let mut baseline = GraphState::new(&reads);
-        let baseline_reports = Pipeline::paper_workflow(&config).run(&mut baseline, &ctx);
+        let baseline_reports: Vec<StageReport> = flattened(&pipeline.items)
+            .into_iter()
+            .map(|stage| stage.run(&mut baseline, &ctx))
+            .collect();
         let mut state = GraphState::new(&reads);
         let reports = Pipeline::paper_workflow(&config)
             .try_run(&mut state, &ctx)
@@ -1709,7 +1709,7 @@ mod tests {
         assert_eq!(state, baseline);
         assert_eq!(reports.len(), baseline_reports.len());
         for (a, b) in reports.iter().zip(&baseline_reports) {
-            assert_eq!((a.stage.as_str(), a.round), (b.stage.as_str(), b.round));
+            assert_eq!(a.stage, b.stage);
         }
     }
 
@@ -1721,7 +1721,8 @@ mod tests {
         let mut state = GraphState::new(&reads);
         Pipeline::paper_workflow(&config)
             .checkpoint_to(&tmp.0, CheckpointPolicy::Off)
-            .run(&mut state, &ExecCtx::new(2));
+            .try_run(&mut state, &ExecCtx::new(2))
+            .expect("the paper workflow runs");
         assert!(!state.output.is_empty());
         assert!(!tmp.0.exists(), "Off policy must not touch the directory");
     }
@@ -1777,7 +1778,9 @@ mod tests {
         // The same context still drives a full workflow afterwards.
         let reads = reads(1_500, 0.0, 79);
         let mut state = GraphState::new(&reads);
-        Pipeline::paper_workflow(&small_config()).run(&mut state, &ctx);
+        Pipeline::paper_workflow(&small_config())
+            .try_run(&mut state, &ctx)
+            .expect("the pool is reusable");
         assert!(!state.output.is_empty());
     }
 
@@ -1790,7 +1793,8 @@ mod tests {
         let mut baseline = GraphState::new(&reads);
         Pipeline::paper_workflow(&config)
             .checkpoint_to(&tmp.0, CheckpointPolicy::EveryStage)
-            .run(&mut baseline, &ctx);
+            .try_run(&mut baseline, &ctx)
+            .expect("the paper workflow runs");
         let (resumed, reports) = Pipeline::paper_workflow(&config)
             .resume(&tmp.0, &reads, &ctx)
             .expect("resume from a completed run");
@@ -1807,7 +1811,8 @@ mod tests {
         let mut state = GraphState::new(&reads);
         Pipeline::paper_workflow(&config)
             .checkpoint_to(&tmp.0, CheckpointPolicy::EveryStage)
-            .run(&mut state, &ctx);
+            .try_run(&mut state, &ctx)
+            .expect("the paper workflow runs");
         let other_config = AssemblyConfig {
             k: 19,
             ..small_config()
@@ -1842,7 +1847,9 @@ mod tests {
         let config = small_config();
         let ctx = ExecCtx::new(2);
         let mut baseline = GraphState::new(&reads);
-        Pipeline::paper_workflow(&config).run(&mut baseline, &ctx);
+        Pipeline::paper_workflow(&config)
+            .try_run(&mut baseline, &ctx)
+            .expect("the paper workflow runs");
 
         let tmp = TmpDir::new("retry-stage-fault");
         let armed = ctx.inject_faults(ppa_pregel::FaultPlan::single(
@@ -1865,7 +1872,9 @@ mod tests {
         let config = small_config();
         let ctx = ExecCtx::new(2);
         let mut baseline = GraphState::new(&reads);
-        Pipeline::paper_workflow(&config).run(&mut baseline, &ctx);
+        Pipeline::paper_workflow(&config)
+            .try_run(&mut baseline, &ctx)
+            .expect("the paper workflow runs");
 
         let armed = ctx.inject_faults(ppa_pregel::FaultPlan::single(
             ppa_pregel::Fault::StageEntry { stage: 3 },

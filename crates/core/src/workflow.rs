@@ -1,24 +1,28 @@
 //! The assembly workflow: the paper's evaluation pipeline (Figure 10,
 //! workflow ①②③④⑤⑥②③) behind one function.
 //!
-//! [`assemble`] runs: DBG construction → contig labeling → contig merging →
-//! (bubble filtering → tip removing → labeling → merging)×`error_correction_rounds`,
-//! with every intermediate hand-off performed in memory (the `convert`
-//! extension). It is a thin wrapper over
+//! [`try_assemble`] runs: DBG construction → contig labeling → contig
+//! merging → (bubble filtering → tip removing → labeling →
+//! merging)×`error_correction_rounds`, with every intermediate hand-off
+//! performed in memory (the pipeline passes typed vectors between stages in
+//! its `GraphState`). It is a thin wrapper over
 //! [`Pipeline::paper_workflow`](crate::pipeline::Pipeline::paper_workflow)
 //! with [`WorkflowStats`] attached as the
 //! observer, so the bench harnesses can regenerate the paper's tables and
 //! figures from [`Assembly::stats`]. Users who want a different strategy
 //! compose their own [`crate::pipeline::Pipeline`] (or call the operations in
-//! [`crate::ops`] directly).
+//! [`crate::ops`] directly). A pipeline built by hand also adds stage-boundary
+//! checkpoints ([`Pipeline::checkpoint_to`]) with bounded retries
+//! ([`Pipeline::try_run_with_retries`]) or a [`Pipeline::resume`] from the
+//! latest snapshot.
 
-use crate::pipeline::{CheckpointPolicy, GraphState, Pipeline, PipelineError};
+use crate::pipeline::{GraphState, Pipeline, PipelineError};
 use crate::stats::{n50, WorkflowStats};
 use ppa_pregel::{ExecCtx, JobControl, SpillPolicy};
 use ppa_seq::{DnaString, FastxRecord, ReadSet, SeqError};
 use serde::{Deserialize, Serialize};
 use std::io::BufRead;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Which algorithm performs contig labeling (operation ②).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -59,7 +63,7 @@ pub struct AssemblyConfig {
     /// resident engine.
     pub spill: SpillPolicy,
     /// Persistent execution context to run every operation on. When `None`
-    /// (the default), [`assemble`] builds one context for the run — either
+    /// (the default), [`try_assemble`] builds one context for the run — either
     /// way, all five operations of all rounds execute on a single long-lived
     /// worker pool. Supply a context to share the pool across several
     /// assemblies (e.g. a parameter sweep). Runtime-only: not part of the
@@ -168,29 +172,6 @@ impl Assembly {
     }
 }
 
-/// Runs the standard PPA-assembler workflow over a read set.
-///
-/// Thin wrapper over the composable pipeline API: builds
-/// [`Pipeline::paper_workflow`] for `config`, attaches the run's
-/// [`WorkflowStats`] as the observer, and executes it. Every operation of
-/// every round — DBG construction, labeling, merging, bubble filtering, tip
-/// removing — executes on one persistent worker pool
-/// ([`AssemblyConfig::exec`], or a pool built here when unset): threads are
-/// spawned once per run, not once per superstep/phase.
-pub fn assemble(reads: &ReadSet, config: &AssemblyConfig) -> Assembly {
-    let ctx = exec_ctx(config);
-    let mut stats = WorkflowStats::default();
-    let mut state = GraphState::new(reads);
-    Pipeline::paper_workflow(config)
-        .observe(&mut stats)
-        .run(&mut state, &ctx);
-
-    Assembly {
-        contigs: state.output,
-        stats,
-    }
-}
-
 /// The execution context an assembly entry point runs on: the configured one
 /// when supplied, or a private pool sized to `config.workers`. The config's
 /// [`SpillPolicy`] is installed on the context either way, so a shared
@@ -235,25 +216,27 @@ pub fn read_input_path(path: impl AsRef<Path>) -> Result<ReadSet, PipelineError>
     read_input(std::io::BufReader::new(file))
 }
 
-/// Fallible [`assemble`]: a stage panic (including worker panics surfaced at
-/// the superstep barrier) is returned as a typed [`PipelineError`] instead of
-/// unwinding, leaving the worker pool reusable.
+/// Runs the standard PPA-assembler workflow over a read set.
+///
+/// Thin wrapper over the composable pipeline API: builds
+/// [`Pipeline::paper_workflow`] for `config`, attaches the run's
+/// [`WorkflowStats`] as the observer, and executes it with
+/// [`Pipeline::try_run`]. Every operation of every round — DBG construction,
+/// labeling, merging, bubble filtering, tip removing — executes on one
+/// persistent worker pool ([`AssemblyConfig::exec`], or a pool built here
+/// when unset): threads are spawned once per run, not once per
+/// superstep/phase.
+///
+/// A stage panic (including worker panics surfaced at the superstep barrier
+/// and spill I/O failures) is returned as a typed [`PipelineError`] instead
+/// of unwinding, leaving the worker pool reusable.
 pub fn try_assemble(reads: &ReadSet, config: &AssemblyConfig) -> Result<Assembly, PipelineError> {
-    let ctx = exec_ctx(config);
-    let mut stats = WorkflowStats::default();
-    let mut state = GraphState::new(reads);
-    Pipeline::paper_workflow(config)
-        .observe(&mut stats)
-        .try_run(&mut state, &ctx)?;
-    Ok(Assembly {
-        contigs: state.output,
-        stats,
-    })
+    paper_workflow_on(&exec_ctx(config), reads, config)
 }
 
 /// [`try_assemble`] under a caller-held [`JobControl`]: the handle is
 /// installed on the run's execution context, every Pregel superstep boundary,
-/// MapReduce/convert shuffle barrier and pipeline stage boundary polls it
+/// MapReduce shuffle barrier and pipeline stage boundary polls it
 /// cooperatively, and a trip — [`cancel`](JobControl::cancel), an expired
 /// deadline, or a memory-budget overrun — unwinds as
 /// [`PipelineError::Cancelled`] with the worker pool left reusable. Keep a
@@ -269,63 +252,23 @@ pub fn assemble_with_control(
 ) -> Result<Assembly, PipelineError> {
     let ctx = exec_ctx(config);
     ctx.set_control(control.clone());
-    let mut stats = WorkflowStats::default();
-    let mut state = GraphState::new(reads);
-    let result = Pipeline::paper_workflow(config)
-        .observe(&mut stats)
-        .try_run(&mut state, &ctx);
+    let result = paper_workflow_on(&ctx, reads, config);
     ctx.clear_control();
-    result?;
-    Ok(Assembly {
-        contigs: state.output,
-        stats,
-    })
+    result
 }
 
-/// [`assemble`] with stage-boundary checkpointing and bounded retries: the
-/// paper workflow snapshots its [`GraphState`] under `dir` per `policy`, and
-/// a failed stage is retried from the latest snapshot (or from scratch when
-/// none was saved yet), up to `max_attempts` total attempts.
-pub fn assemble_with_checkpoints(
+/// Runs [`Pipeline::paper_workflow`] for `config` on `ctx` with the run's
+/// [`WorkflowStats`] attached.
+fn paper_workflow_on(
+    ctx: &ExecCtx,
     reads: &ReadSet,
     config: &AssemblyConfig,
-    dir: impl Into<PathBuf>,
-    policy: CheckpointPolicy,
-    max_attempts: usize,
 ) -> Result<Assembly, PipelineError> {
-    let ctx = exec_ctx(config);
     let mut stats = WorkflowStats::default();
     let mut state = GraphState::new(reads);
     Pipeline::paper_workflow(config)
-        .checkpoint_to(dir, policy)
         .observe(&mut stats)
-        .try_run_with_retries(&mut state, &ctx, max_attempts)?;
-    Ok(Assembly {
-        contigs: state.output,
-        stats,
-    })
-}
-
-/// Resumes an interrupted [`assemble_with_checkpoints`] run from the latest
-/// snapshot under `dir`, replaying only the remaining stages (and continuing
-/// to snapshot per `policy`). The snapshot must have been written by the same
-/// workflow: same configuration fingerprint, worker count and read set.
-///
-/// The returned [`Assembly::stats`] cover the replayed stages only — an
-/// assembly resumed at the final stage reports timings for that stage alone.
-pub fn resume_assembly(
-    reads: &ReadSet,
-    config: &AssemblyConfig,
-    dir: impl Into<PathBuf>,
-    policy: CheckpointPolicy,
-) -> Result<Assembly, PipelineError> {
-    let ctx = exec_ctx(config);
-    let dir = dir.into();
-    let mut stats = WorkflowStats::default();
-    let (state, _reports) = Pipeline::paper_workflow(config)
-        .checkpoint_to(dir.clone(), policy)
-        .observe(&mut stats)
-        .resume(&dir, reads, &ctx)?;
+        .try_run(&mut state, ctx)?;
     Ok(Assembly {
         contigs: state.output,
         stats,
@@ -335,6 +278,7 @@ pub fn resume_assembly(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::CheckpointPolicy;
     use ppa_readsim::{GenomeConfig, ReadSimConfig};
 
     fn small_config(k: usize) -> AssemblyConfig {
@@ -381,7 +325,7 @@ mod tests {
     #[test]
     fn error_free_genome_is_reconstructed_as_one_contig() {
         let (reference, reads) = simulate(3_000, 25.0, 0.0, 11);
-        let assembly = assemble(&reads, &small_config(21));
+        let assembly = try_assemble(&reads, &small_config(21)).expect("assembly succeeds");
         assert!(!assembly.contigs.is_empty());
         // The largest contig must cover almost the whole reference (ends may be
         // truncated where read coverage runs out).
@@ -413,7 +357,7 @@ mod tests {
         let (reference, reads) = simulate(4_000, 30.0, 0.005, 23);
         let mut config = small_config(21);
         config.min_kmer_coverage = 1; // θ filter kicks in for error k-mers
-        let assembly = assemble(&reads, &config);
+        let assembly = try_assemble(&reads, &config).expect("assembly succeeds");
         assert!(!assembly.contigs.is_empty());
         let total = assembly.total_length();
         assert!(
@@ -450,13 +394,14 @@ mod tests {
             seed: 6,
         }
         .simulate(&reference);
-        let assembly = assemble(
+        let assembly = try_assemble(
             &reads,
             &AssemblyConfig {
                 min_kmer_coverage: 1,
                 ..small_config(21)
             },
-        );
+        )
+        .expect("assembly succeeds");
         assert!(
             assembly.stats.n50_final >= assembly.stats.n50_after_round1,
             "round 2 must not reduce N50 ({} -> {})",
@@ -473,22 +418,24 @@ mod tests {
     #[test]
     fn both_labeling_algorithms_produce_equivalent_assemblies() {
         let (_, reads) = simulate(2_500, 20.0, 0.002, 31);
-        let lr = assemble(
+        let lr = try_assemble(
             &reads,
             &AssemblyConfig {
                 labeling: LabelingAlgorithm::ListRanking,
                 min_kmer_coverage: 1,
                 ..small_config(21)
             },
-        );
-        let sv = assemble(
+        )
+        .expect("assembly succeeds");
+        let sv = try_assemble(
             &reads,
             &AssemblyConfig {
                 labeling: LabelingAlgorithm::SimplifiedSV,
                 min_kmer_coverage: 1,
                 ..small_config(21)
             },
-        );
+        )
+        .expect("assembly succeeds");
         // Same contig length multiset (IDs and order may differ).
         let mut a: Vec<usize> = lr.contigs.iter().map(Contig::len).collect();
         let mut b: Vec<usize> = sv.contigs.iter().map(Contig::len).collect();
@@ -501,13 +448,14 @@ mod tests {
     #[test]
     fn zero_correction_rounds_stop_after_first_merge() {
         let (_, reads) = simulate(2_000, 20.0, 0.0, 41);
-        let assembly = assemble(
+        let assembly = try_assemble(
             &reads,
             &AssemblyConfig {
                 error_correction_rounds: 0,
                 ..small_config(21)
             },
-        );
+        )
+        .expect("assembly succeeds");
         assert!(!assembly.contigs.is_empty());
         assert!(assembly.stats.label_round2.is_empty());
         assert!(assembly.stats.corrections.is_empty());
@@ -517,29 +465,31 @@ mod tests {
     #[test]
     fn min_contig_length_filters_output() {
         let (_, reads) = simulate(2_000, 15.0, 0.005, 53);
-        let all = assemble(
+        let all = try_assemble(
             &reads,
             &AssemblyConfig {
                 min_kmer_coverage: 0,
                 min_contig_length: 0,
                 ..small_config(21)
             },
-        );
-        let filtered = assemble(
+        )
+        .expect("assembly succeeds");
+        let filtered = try_assemble(
             &reads,
             &AssemblyConfig {
                 min_kmer_coverage: 0,
                 min_contig_length: 500,
                 ..small_config(21)
             },
-        );
+        )
+        .expect("assembly succeeds");
         assert!(filtered.contigs.len() <= all.contigs.len());
         assert!(filtered.contigs.iter().all(|c| c.len() >= 500));
     }
 
     #[test]
     fn empty_reads_produce_empty_assembly() {
-        let assembly = assemble(&ReadSet::new(), &small_config(21));
+        let assembly = try_assemble(&ReadSet::new(), &small_config(21)).expect("assembly succeeds");
         assert!(assembly.contigs.is_empty());
         assert_eq!(assembly.total_length(), 0);
         assert_eq!(assembly.n50(), 0);
@@ -549,7 +499,7 @@ mod tests {
     #[test]
     fn fasta_output_roundtrips() {
         let (_, reads) = simulate(2_000, 20.0, 0.0, 61);
-        let assembly = assemble(&reads, &small_config(21));
+        let assembly = try_assemble(&reads, &small_config(21)).expect("assembly succeeds");
         let fasta = assembly.to_fasta();
         assert_eq!(fasta.len(), assembly.contigs.len());
         let mut buf = Vec::new();
@@ -589,11 +539,15 @@ mod tests {
 
     #[test]
     fn try_assemble_matches_assemble() {
+        // `try_assemble` is the paper workflow run through `Pipeline::try_run`.
         let (_, reads) = simulate(2_000, 20.0, 0.0, 67);
         let config = small_config(21);
-        let baseline = assemble(&reads, &config);
+        let mut baseline = GraphState::new(&reads);
+        Pipeline::paper_workflow(&config)
+            .try_run(&mut baseline, &ExecCtx::new(config.workers))
+            .expect("fault-free pipeline run succeeds");
         let assembly = try_assemble(&reads, &config).expect("fault-free run succeeds");
-        assert_eq!(assembly.contigs, baseline.contigs);
+        assert_eq!(assembly.contigs, baseline.output);
     }
 
     #[test]
@@ -602,24 +556,27 @@ mod tests {
         let mut config = small_config(21);
         let ctx = ExecCtx::new(config.workers);
         config.exec = Some(ctx.clone());
-        let baseline = assemble(&reads, &config);
+        let baseline = try_assemble(&reads, &config).expect("assembly succeeds");
 
         let dir = std::env::temp_dir().join(format!("ppa-workflow-ckpt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let armed = ctx.inject_faults(ppa_pregel::FaultPlan::single(
             ppa_pregel::Fault::StageEntry { stage: 6 },
         ));
-        let assembly =
-            assemble_with_checkpoints(&reads, &config, &dir, CheckpointPolicy::EveryStage, 2)
-                .expect("the retry recovers the assembly");
+        let mut state = GraphState::new(&reads);
+        Pipeline::paper_workflow(&config)
+            .checkpoint_to(&dir, CheckpointPolicy::EveryStage)
+            .try_run_with_retries(&mut state, &ctx, 2)
+            .expect("the retry recovers the assembly");
         ctx.clear_faults();
         assert!(armed.all_fired());
-        assert_eq!(assembly.contigs, baseline.contigs);
+        assert_eq!(state.output, baseline.contigs);
 
         // The completed run leaves a resumable snapshot behind.
-        let resumed = resume_assembly(&reads, &config, &dir, CheckpointPolicy::Off)
+        let (resumed, _) = Pipeline::paper_workflow(&config)
+            .resume(&dir, &reads, &ctx)
             .expect("resume from the final snapshot");
-        assert_eq!(resumed.contigs, baseline.contigs);
+        assert_eq!(resumed.output, baseline.contigs);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -629,7 +586,7 @@ mod tests {
         let mut config = small_config(21);
         let ctx = ExecCtx::new(config.workers);
         config.exec = Some(ctx.clone());
-        let baseline = assemble(&reads, &config);
+        let baseline = try_assemble(&reads, &config).expect("assembly succeeds");
 
         // A live handle that never trips: identical output, no cancel marker.
         let control = ppa_pregel::JobControl::new();
@@ -653,7 +610,7 @@ mod tests {
             other => panic!("expected a Cancelled error, got {other:?}"),
         }
         assert!(!err.is_transient());
-        let again = assemble(&reads, &config);
+        let again = try_assemble(&reads, &config).expect("assembly succeeds");
         assert_eq!(again.contigs, baseline.contigs);
     }
 
@@ -661,20 +618,21 @@ mod tests {
     fn spilled_assembly_is_byte_identical_to_resident() {
         let (_, reads) = simulate(4_000, 25.0, 0.0, 83);
         let config = small_config(21);
-        let baseline = assemble(&reads, &config);
+        let baseline = try_assemble(&reads, &config).expect("assembly succeeds");
         assert!(!baseline.contigs.is_empty());
 
         // A generous cap never trips; a tiny cap forces both the MapReduce
         // phases of construction and the labeling job out of core. Either
         // way the contigs must be byte-identical to the resident run.
         for cap in [1u64 << 30, 24 * 1024] {
-            let spilled = assemble(
+            let spilled = try_assemble(
                 &reads,
                 &AssemblyConfig {
                     spill: ppa_pregel::SpillPolicy::At(cap),
                     ..small_config(21)
                 },
-            );
+            )
+            .expect("assembly succeeds");
             assert_eq!(
                 spilled.contigs, baseline.contigs,
                 "cap {cap}: spilled assembly must match the resident one"

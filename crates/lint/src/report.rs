@@ -3,8 +3,8 @@
 use std::fmt;
 
 /// The architectural rules: the five launch rules plus the job-control
-/// cancellation rule. Future invariants (spill-file codecs) get added here
-/// and in `rules.rs`.
+/// cancellation rule and the single-pool rule. Future invariants get added
+/// here and in `rules.rs`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
     /// `unsafe` only in allowlisted modules, always with a `// SAFETY:`
@@ -22,10 +22,13 @@ pub enum Rule {
     /// `#[target_feature]` fns are only callable from their defining
     /// dispatch module.
     DispatchOnlyIntrinsics,
-    /// Every public `*_on` op entry point must route through a
-    /// control-polling runner path, so an installed `JobControl` can stop
-    /// any long-running operation at a barrier.
+    /// Every public op entry point that takes an `ExecCtx` must route
+    /// through a control-polling runner path, so an installed `JobControl`
+    /// can stop any long-running operation at a barrier.
     CancellationPoints,
+    /// `ExecCtx::new` only in `core/src/workflow.rs` among the library
+    /// crates: every other parallel entry point takes the caller's context.
+    SinglePoolConstructor,
 }
 
 /// All rules, in reporting order.
@@ -36,6 +39,7 @@ pub const ALL_RULES: &[Rule] = &[
     Rule::NoSiphashHotPath,
     Rule::DispatchOnlyIntrinsics,
     Rule::CancellationPoints,
+    Rule::SinglePoolConstructor,
 ];
 
 impl Rule {
@@ -48,6 +52,7 @@ impl Rule {
             Rule::NoSiphashHotPath => "no-siphash-hot-path",
             Rule::DispatchOnlyIntrinsics => "dispatch-only-intrinsics",
             Rule::CancellationPoints => "cancellation-points",
+            Rule::SinglePoolConstructor => "single-pool-constructor",
         }
     }
 
@@ -78,9 +83,13 @@ impl Rule {
                  defines them (the dispatch layer)"
             }
             Rule::CancellationPoints => {
-                "every `pub fn *_on` in core/src/ops must call a \
-                 control-polling runner entry point (run/run_on/map_reduce*/\
-                 connected_components)"
+                "every `pub fn` in core/src/ops whose parameters name \
+                 `ExecCtx` must call a control-polling runner entry point \
+                 (run/map_reduce/map_reduce_spillable/connected_components)"
+            }
+            Rule::SinglePoolConstructor => {
+                "no `ExecCtx::new(` in pregel/core non-test code outside \
+                 core/src/workflow.rs; take the caller's `&ExecCtx`"
             }
         }
     }

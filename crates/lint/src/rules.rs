@@ -32,25 +32,24 @@ const THREAD_ALLOWLIST: &[&str] = &["crates/pregel/src/engine.rs"];
 /// `FxHashMap`/`FxHashSet`.
 const SIPHASH_SCOPES: &[&str] = &["crates/pregel/", "crates/core/"];
 
-/// Directory whose public `*_on` entry points must be cancellable.
+/// Directory whose public `ExecCtx`-taking entry points must be cancellable.
 const OPS_DIR: &str = "crates/core/src/ops/";
 
 /// Runner entry points whose barriers poll the installed `JobControl`. An op
 /// routed through any of these is stoppable mid-flight. An explicit allowlist
-/// rather than a `*_on` suffix heuristic: method calls like
-/// `node.sole_edge_on(side)` must not satisfy the rule by accident, which is
-/// also why bare `run` only counts as a *path* call (`ppa_pregel::run(`,
-/// `runner::run(`) — see `is_polling_call`.
-const POLLING_CALLEES: &[&str] = &[
-    "run_on",
-    "try_run_on",
-    "run_from_pairs",
-    "map_reduce_on",
-    "map_reduce_with_metrics_on",
-    "map_reduce_partitioned_on",
-    "map_reduce_spillable_on",
-    "connected_components",
-];
+/// rather than a name heuristic: bare `run` only counts as a *path* call
+/// (`ppa_pregel::run(`, `runner::run(`) so that a local helper named `run`
+/// cannot satisfy the rule by accident — see `is_polling_call`.
+const POLLING_CALLEES: &[&str] = &["map_reduce", "map_reduce_spillable", "connected_components"];
+
+/// Path prefixes of the library crates whose non-test code must not build
+/// its own worker pool: every parallel entry point takes the caller's
+/// `ExecCtx`.
+const POOL_SCOPES: &[&str] = &["crates/pregel/src/", "crates/core/src/"];
+
+/// The one library file allowed to build a pool: `try_assemble` builds the
+/// run's context when `AssemblyConfig::exec` is unset.
+const POOL_CONSTRUCTOR_FILE: &str = "crates/core/src/workflow.rs";
 
 /// Identifiers that legitimately precede a `[` without being an indexable
 /// expression (`let [a, b] = ..`, `for x in [..]`, `return [..]`, ...).
@@ -111,6 +110,7 @@ pub fn analyze_sources(files: &[SourceSpec<'_>]) -> Vec<Diagnostic> {
         check_no_siphash(file, &mut diags);
         check_dispatch_only_intrinsics(file, &intrinsics, &mut diags);
         check_cancellation_points(file, &mut diags);
+        check_single_pool_constructor(file, &mut diags);
     }
 
     diags.retain(|d| {
@@ -401,9 +401,49 @@ fn is_polling_call(toks: &[Token], i: usize) -> bool {
             .is_some_and(|p| p.is_punct(':'))
 }
 
-/// Every `pub fn *_on` in `crates/core/src/ops/` must route through a
-/// runner path that polls the job control at its barriers; an op entry point
-/// that loops privately would be unstoppable once started.
+/// Whether the parameter list of the fn whose name token sits at `name_at`
+/// names `ExecCtx`. Skips a generic parameter list first (a `>` preceded by
+/// `-` is the arrow of an `Fn(..) -> T` bound, not a closing bracket).
+fn params_name_exec_ctx(toks: &[Token], name_at: usize) -> bool {
+    let mut j = name_at + 1;
+    if toks.get(j).is_some_and(|t| t.is_punct('<')) {
+        let mut depth = 0usize;
+        while let Some(t) = toks.get(j) {
+            if t.is_punct('<') {
+                depth += 1;
+            } else if t.is_punct('>') && !toks[j - 1].is_punct('-') {
+                depth -= 1;
+                if depth == 0 {
+                    j += 1;
+                    break;
+                }
+            }
+            j += 1;
+        }
+    }
+    if !toks.get(j).is_some_and(|t| t.is_punct('(')) {
+        return false;
+    }
+    let mut depth = 0usize;
+    for t in &toks[j..] {
+        if t.is_punct('(') {
+            depth += 1;
+        } else if t.is_punct(')') {
+            depth -= 1;
+            if depth == 0 {
+                return false;
+            }
+        } else if t.is_ident("ExecCtx") {
+            return true;
+        }
+    }
+    false
+}
+
+/// Every `pub fn` in `crates/core/src/ops/` whose parameter list names
+/// `ExecCtx` is an op entry point and must route through a runner path that
+/// polls the job control at its barriers; an op entry point that loops
+/// privately would be unstoppable once started.
 fn check_cancellation_points(file: &AnalyzedFile, diags: &mut Vec<Diagnostic>) {
     if !file.path.starts_with(OPS_DIR) {
         return;
@@ -411,17 +451,17 @@ fn check_cancellation_points(file: &AnalyzedFile, diags: &mut Vec<Diagnostic>) {
     let toks = &file.lexed.tokens;
     let mut i = 0;
     while i < toks.len() {
-        let is_entry = !toks[i].in_test
+        let is_pub_fn = !toks[i].in_test
             && toks[i].is_ident("fn")
             && i.checked_sub(1)
                 .and_then(|p| toks.get(p))
                 .is_some_and(|p| p.is_ident("pub"));
-        let name_tok = if is_entry { toks.get(i + 1) } else { None };
+        let name_tok = if is_pub_fn { toks.get(i + 1) } else { None };
         let Some((name_tok, name)) = name_tok.and_then(|t| t.ident().map(|n| (t, n))) else {
             i += 1;
             continue;
         };
-        if !name.ends_with("_on") {
+        if !params_name_exec_ctx(toks, i + 1) {
             i += 1;
             continue;
         }
@@ -455,12 +495,47 @@ fn check_cancellation_points(file: &AnalyzedFile, diags: &mut Vec<Diagnostic>) {
                 col: name_tok.col,
                 message: format!(
                     "op entry point `{name}` never reaches a control-polling runner path \
-                     (run/run_on/try_run_on/run_from_pairs/map_reduce*_on/\
-                     connected_components); a JobControl could not stop it"
+                     (run/map_reduce/map_reduce_spillable/connected_components); a \
+                     JobControl could not stop it"
                 ),
             });
         }
         i = j.max(i + 1);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// single-pool-constructor
+// ---------------------------------------------------------------------------
+
+/// Flags `ExecCtx::new(` in the non-test library code of `pregel`/`core`
+/// outside `workflow.rs`: an entry point that builds a private pool instead
+/// of taking the caller's context is exactly the twin this rule keeps out.
+fn check_single_pool_constructor(file: &AnalyzedFile, diags: &mut Vec<Diagnostic>) {
+    if file.path == POOL_CONSTRUCTOR_FILE || !POOL_SCOPES.iter().any(|p| file.path.starts_with(p)) {
+        return;
+    }
+    let toks = &file.lexed.tokens;
+    for (i, tok) in toks.iter().enumerate() {
+        if tok.in_test || !tok.is_ident("ExecCtx") {
+            continue;
+        }
+        let constructs = toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
+            && toks.get(i + 2).is_some_and(|t| t.is_punct(':'))
+            && toks.get(i + 3).is_some_and(|t| t.is_ident("new"))
+            && toks.get(i + 4).is_some_and(|t| t.is_punct('('));
+        if constructs {
+            diags.push(Diagnostic {
+                rule: Rule::SinglePoolConstructor,
+                file: file.path.clone(),
+                line: tok.line,
+                col: tok.col,
+                message: format!(
+                    "`ExecCtx::new` builds a private worker pool; take the caller's \
+                     `&ExecCtx` instead (only {POOL_CONSTRUCTOR_FILE} builds one)"
+                ),
+            });
+        }
     }
 }
 

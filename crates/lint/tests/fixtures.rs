@@ -435,10 +435,11 @@ pub fn grind_on(ctx: &ExecCtx, nodes: &[u64]) -> u64 {
 #[test]
 fn op_routed_through_polling_runners_is_quiet() {
     let srcs = [
-        "pub fn a_on(ctx: &ExecCtx) -> u64 { let m = ppa_pregel::run(&p, &c, &mut s); m }\n",
-        "pub fn b_on(ctx: &ExecCtx) -> u64 { map_reduce_with_metrics_on(ctx, i, m, r).1 }\n",
-        "pub fn c_on(ctx: &ExecCtx) -> u64 { let (cc, sv) = connected_components(adj, &c); sv }\n",
-        "pub fn e_on(ctx: &ExecCtx) -> u64 { try_run_on(ctx, &p, &c, &mut s).supersteps as u64 }\n",
+        "pub fn a(ctx: &ExecCtx) -> u64 { let m = ppa_pregel::run(ctx, &p, &mut s, 9); m }\n",
+        "pub fn b(ctx: &ExecCtx) -> u64 { map_reduce(ctx, i, m, r).1 }\n",
+        "pub fn c(ctx: &ExecCtx) -> u64 { let (cc, sv) = connected_components(ctx, adj, 9); sv }\n",
+        "pub fn e(ctx: &ExecCtx) -> u64 { map_reduce_spillable(ctx, i, m, r).1.groups }\n",
+        "pub fn f<F: Fn(u64) -> u64>(g: F, ctx: &ExecCtx) -> u64 { map_reduce(ctx, i, g, r).1 }\n",
     ];
     for src in srcs {
         assert!(
@@ -459,11 +460,43 @@ fn op_routed_only_through_convert_on_fires() {
 }
 
 #[test]
+fn op_routed_only_through_retired_entry_points_fires() {
+    // The private-pool and `*_on` twins are gone: calls by those names poll
+    // nothing any more.
+    for src in [
+        "pub fn g(ctx: &ExecCtx) -> u64 { run_on(ctx, &p, &c, &mut s).supersteps as u64 }\n",
+        "pub fn h(ctx: &ExecCtx) -> u64 { map_reduce_on(ctx, i, m, r).len() as u64 }\n",
+        "pub fn k(ctx: &ExecCtx) -> u64 { try_run_on(ctx, &p, &c, &mut s).supersteps as u64 }\n",
+    ] {
+        let diags = diags_for("crates/core/src/ops/probe.rs", src);
+        assert_eq!(rules_of(&diags), vec![Rule::CancellationPoints], "{src}");
+    }
+}
+
+#[test]
+fn op_taking_a_ctx_without_on_suffix_fires() {
+    // Entry points are found by their `ExecCtx` parameter, not by a name
+    // suffix: a plain-named op that loops privately is caught too.
+    let src = r#"
+pub fn grind<T: Copy>(ctx: &ExecCtx, nodes: &[T]) -> usize {
+    let mut n = 0;
+    for _ in nodes.iter() {
+        n += ctx.workers();
+    }
+    n
+}
+"#;
+    let diags = diags_for("crates/core/src/ops/grind.rs", src);
+    assert_eq!(rules_of(&diags), vec![Rule::CancellationPoints]);
+    assert!(diags[0].message.contains("`grind`"));
+}
+
+#[test]
 fn lookalike_on_calls_do_not_satisfy_the_rule() {
     // `node.sole_edge_on(side)` ends in `_on` but polls nothing, and a bare
     // `run(..)` that is not a path call could be any local helper.
     let src = r#"
-pub fn walk_on(nodes: &[Node]) -> u64 {
+pub fn walk_on(ctx: &ExecCtx, nodes: &[Node]) -> u64 {
     let e = nodes.first().map(|n| n.sole_edge_on(0));
     run(e)
 }
@@ -478,24 +511,97 @@ fn run(e: Option<u64>) -> u64 {
 
 #[test]
 fn private_and_non_on_fns_are_exempt_from_cancellation_points() {
+    // Private fns and public fns without an `ExecCtx` parameter are not op
+    // entry points.
     let src = r#"
-fn helper_on(x: u64) -> u64 { x }
+fn helper_on(ctx: &ExecCtx, x: u64) -> u64 { x }
 pub fn leader(x: u64) -> u64 { helper_on(x) }
+pub fn ranked_on(x: u64) -> u64 { x }
 "#;
     assert!(diags_for("crates/core/src/ops/helper.rs", src).is_empty());
 }
 
 #[test]
 fn cancellation_points_is_scoped_to_ops_and_suppressible() {
-    // The same un-polling entry point outside `ops/` is fine...
-    let src = "pub fn fused_on(x: u64) -> u64 { x }\n";
+    // An un-polling entry point fires inside `ops/`...
+    let src = "pub fn fused(ctx: &ExecCtx, x: u64) -> u64 { x }\n";
+    let diags = diags_for("crates/core/src/ops/fused.rs", src);
+    assert_eq!(rules_of(&diags), vec![Rule::CancellationPoints]);
+    // ...the same one outside `ops/` is fine...
     assert!(diags_for("crates/core/src/node.rs", src).is_empty());
     // ...and inside `ops/` an explicit suppression silences it.
     let suppressed = r#"
 // ppa_lint: allow(cancellation-points)
-pub fn fused_on(x: u64) -> u64 { x }
+pub fn fused(ctx: &ExecCtx, x: u64) -> u64 { x }
 "#;
     assert!(diags_for("crates/core/src/ops/fused.rs", suppressed).is_empty());
+}
+
+// ---------------------------------------------------------------------------
+// single-pool-constructor
+// ---------------------------------------------------------------------------
+
+#[test]
+fn private_pool_twin_fires() {
+    // The shape every deleted wrapper had: build a pool, forward to the
+    // context-taking entry point.
+    let src = r#"
+pub fn build_dbg(reads: &ReadSet, config: &ConstructConfig, workers: usize) -> ConstructOutcome {
+    build_dbg_on(&ExecCtx::new(workers), reads, config)
+}
+"#;
+    for path in [
+        "crates/core/src/ops/construct.rs",
+        "crates/pregel/src/mapreduce.rs",
+    ] {
+        let diags = diags_for(path, src);
+        assert_eq!(
+            rules_of(&diags),
+            vec![Rule::SinglePoolConstructor],
+            "{path}"
+        );
+        assert_eq!((diags[0].line, diags[0].col), (3, 19));
+        assert!(diags[0].message.contains("workflow.rs"));
+    }
+}
+
+#[test]
+fn pool_constructor_in_workflow_tests_and_other_crates_is_quiet() {
+    let src = "pub fn ctx(w: usize) -> ExecCtx { ExecCtx::new(w) }\n";
+    // The one library file allowed to build a pool, and crates outside the
+    // library layers (baselines, bench bins, examples).
+    for path in [
+        "crates/core/src/workflow.rs",
+        "crates/baselines/src/swap_like.rs",
+        "crates/bench/src/bin/checkpoint.rs",
+        "examples/quickstart.rs",
+    ] {
+        assert!(diags_for(path, src).is_empty(), "false positive in {path}");
+    }
+    // Unit tests inside the library, the type's own constructor definition
+    // and a mention in a string are fine too.
+    let quiet = r#"
+impl ExecCtx {
+    pub fn new(workers: usize) -> ExecCtx { todo!() }
+}
+pub fn doc() -> &'static str { "ExecCtx::new(4)" }
+#[cfg(test)]
+mod tests {
+    fn ctx() -> ExecCtx { ExecCtx::new(2) }
+}
+"#;
+    assert!(diags_for("crates/pregel/src/engine.rs", quiet).is_empty());
+}
+
+#[test]
+fn pool_constructor_is_suppressible() {
+    let src = r#"
+pub fn scratch() -> ExecCtx {
+    // ppa_lint: allow(single-pool-constructor)
+    ExecCtx::new(1)
+}
+"#;
+    assert!(diags_for("crates/pregel/src/chain.rs", src).is_empty());
 }
 
 // ---------------------------------------------------------------------------

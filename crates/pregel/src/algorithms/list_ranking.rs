@@ -15,11 +15,12 @@
 //! the superstep cap and reports non-convergence.)
 
 use crate::aggregate::NoAggregate;
-use crate::config::PregelConfig;
+use crate::engine::ExecCtx;
 use crate::metrics::Metrics;
 use crate::radix::SortKey;
-use crate::runner::run_from_pairs;
+use crate::runner::run;
 use crate::vertex::{Context, VertexKey, VertexProgram};
+use crate::vertex_set::VertexSet;
 
 /// One element of a linked list to be ranked.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,11 +96,14 @@ impl<I: VertexKey + SortKey> VertexProgram for ListRankingProgram<I> {
     }
 }
 
-/// Runs list ranking over the given elements and returns `(id, sum)` pairs
-/// (in unspecified order) together with the job metrics.
+/// Runs list ranking over the given elements on the worker pool of `ctx` and
+/// returns `(id, sum)` pairs (in unspecified order) together with the job
+/// metrics. A job still running after `max_supersteps` supersteps (a cyclic
+/// input) stops with [`Metrics::converged`] set to `false`.
 pub fn list_ranking<I: VertexKey + SortKey>(
+    ctx: &ExecCtx,
     items: Vec<ListItem<I>>,
-    config: &PregelConfig,
+    max_supersteps: usize,
 ) -> (Vec<(I, u64)>, Metrics) {
     let program = ListRankingProgram::<I>(std::marker::PhantomData);
     let pairs = items.into_iter().map(|item| {
@@ -111,7 +115,8 @@ pub fn list_ranking<I: VertexKey + SortKey>(
             },
         )
     });
-    let (set, metrics) = run_from_pairs(&program, config, pairs);
+    let mut set = VertexSet::from_pairs(ctx.workers(), pairs);
+    let metrics = run(ctx, &program, &mut set, max_supersteps);
     let out = set
         .into_pairs()
         .into_iter()
@@ -125,9 +130,8 @@ mod tests {
     use super::*;
     use std::collections::HashMap;
 
-    fn config() -> PregelConfig {
-        PregelConfig::with_workers(4).max_supersteps(200)
-    }
+    /// Superstep cap of the jobs that are expected to converge.
+    const CAP: usize = 200;
 
     /// Brute-force oracle: follow predecessor pointers to the head.
     fn oracle<I: VertexKey + SortKey>(items: &[ListItem<I>]) -> HashMap<I, u64> {
@@ -157,7 +161,7 @@ mod tests {
                 value: 1,
             })
             .collect();
-        let (result, metrics) = list_ranking(items, &config());
+        let (result, metrics) = list_ranking(&ExecCtx::new(4), items, CAP);
         let result: HashMap<u64, u64> = result.into_iter().collect();
         for i in 1..=5u64 {
             assert_eq!(result[&i], i);
@@ -181,7 +185,7 @@ mod tests {
                 value: 1,
             })
             .collect();
-        let (result, metrics) = list_ranking(items, &config());
+        let (result, metrics) = list_ranking(&ExecCtx::new(4), items, CAP);
         let result: HashMap<u64, u64> = result.into_iter().collect();
         assert_eq!(result[&(n - 1)], n);
         assert_eq!(result[&0], 1);
@@ -213,7 +217,7 @@ mod tests {
             value: i,
         }));
         let expected = oracle(&items);
-        let (result, metrics) = list_ranking(items, &config());
+        let (result, metrics) = list_ranking(&ExecCtx::new(4), items, CAP);
         for (id, sum) in result {
             assert_eq!(sum, expected[&id], "vertex {id}");
         }
@@ -231,7 +235,7 @@ mod tests {
             })
             .collect();
         let expected = oracle(&items);
-        let (result, _metrics) = list_ranking(items, &config());
+        let (result, _metrics) = list_ranking(&ExecCtx::new(4), items, CAP);
         for (id, sum) in result {
             assert_eq!(sum, expected[&id]);
         }
@@ -247,14 +251,13 @@ mod tests {
                 value: 1,
             })
             .collect();
-        let cfg = PregelConfig::with_workers(2).max_supersteps(40);
-        let (_, metrics) = list_ranking(items, &cfg);
+        let (_, metrics) = list_ranking(&ExecCtx::new(2), items, 40);
         assert!(!metrics.converged);
     }
 
     #[test]
     fn empty_input() {
-        let (out, metrics) = list_ranking(Vec::<ListItem<u64>>::new(), &config());
+        let (out, metrics) = list_ranking(&ExecCtx::new(4), Vec::<ListItem<u64>>::new(), CAP);
         assert!(out.is_empty());
         assert!(metrics.converged);
     }

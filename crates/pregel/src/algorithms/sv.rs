@@ -25,11 +25,12 @@
 //! round passes with no parent change anywhere, the job stops.
 
 use crate::aggregate::BoolOr;
-use crate::config::PregelConfig;
+use crate::engine::ExecCtx;
 use crate::metrics::Metrics;
 use crate::radix::SortKey;
-use crate::runner::run_from_pairs;
+use crate::runner::run;
 use crate::vertex::{Context, VertexKey, VertexProgram};
+use crate::vertex_set::VertexSet;
 
 #[derive(Debug, Clone)]
 struct SvState<I> {
@@ -147,10 +148,13 @@ impl<I: VertexKey + SortKey> VertexProgram for SvProgram<I> {
 /// every edge should be present in both endpoint's lists (the function does
 /// not symmetrise the input). Returns `(vertex, component)` pairs where the
 /// component representative is the smallest vertex ID in the component,
-/// together with the job metrics.
+/// together with the job metrics. The job runs on the worker pool of `ctx`;
+/// one still running after `max_supersteps` supersteps stops with
+/// [`Metrics::converged`] set to `false`.
 pub fn connected_components<I: VertexKey + SortKey>(
+    ctx: &ExecCtx,
     adjacency: Vec<(I, Vec<I>)>,
-    config: &PregelConfig,
+    max_supersteps: usize,
 ) -> (Vec<(I, I)>, Metrics) {
     let program = SvProgram::<I>(std::marker::PhantomData);
     let pairs = adjacency.into_iter().map(|(id, neighbors)| {
@@ -163,7 +167,8 @@ pub fn connected_components<I: VertexKey + SortKey>(
             },
         )
     });
-    let (set, metrics) = run_from_pairs(&program, config, pairs);
+    let mut set = VertexSet::from_pairs(ctx.workers(), pairs);
+    let metrics = run(ctx, &program, &mut set, max_supersteps);
     let out = set
         .into_pairs()
         .into_iter()
@@ -178,9 +183,8 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::HashMap;
 
-    fn config() -> PregelConfig {
-        PregelConfig::with_workers(4).max_supersteps(400)
-    }
+    /// Superstep cap of the jobs that are expected to converge.
+    const CAP: usize = 400;
 
     /// Union-find oracle.
     fn oracle(n: u64, edges: &[(u64, u64)]) -> HashMap<u64, u64> {
@@ -228,7 +232,7 @@ mod tests {
 
     fn run_and_check(n: u64, edges: &[(u64, u64)]) -> Metrics {
         let expected = oracle(n, edges);
-        let (result, metrics) = connected_components(adjacency(n, edges), &config());
+        let (result, metrics) = connected_components(&ExecCtx::new(4), adjacency(n, edges), CAP);
         assert_eq!(result.len() as u64, n);
         for (v, comp) in result {
             assert_eq!(comp, expected[&v], "vertex {v}");
@@ -277,7 +281,8 @@ mod tests {
 
     #[test]
     fn empty_graph() {
-        let (out, metrics) = connected_components(Vec::<(u64, Vec<u64>)>::new(), &config());
+        let (out, metrics) =
+            connected_components(&ExecCtx::new(4), Vec::<(u64, Vec<u64>)>::new(), CAP);
         assert!(out.is_empty());
         assert!(metrics.converged);
     }
@@ -295,7 +300,7 @@ mod tests {
                 .filter(|(a, b)| a != b)
                 .collect();
             let expected = oracle(n, &edges);
-            let (result, metrics) = connected_components(adjacency(n, &edges), &config());
+            let (result, metrics) = connected_components(&ExecCtx::new(4), adjacency(n, &edges), CAP);
             prop_assert!(metrics.converged);
             for (v, comp) in result {
                 prop_assert_eq!(comp, expected[&v]);

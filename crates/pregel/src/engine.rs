@@ -16,16 +16,18 @@
 //!
 //! [`ExecCtx`] is the handle the rest of the workspace passes around:
 //!
-//! * it owns the pool (shared via `Arc`, so cloning an `ExecCtx` — e.g. into
-//!   a [`PregelConfig`](crate::PregelConfig) — shares the same threads);
+//! * it owns the pool (shared via `Arc`, so cloning an `ExecCtx` shares the
+//!   same threads);
 //! * it owns a typed **scratch cache** in which the superstep runner parks
 //!   its per-worker shuffle planes between jobs, so consecutive Pregel jobs
 //!   of the same message type reuse their buffers instead of reallocating
 //!   (extending PR 1's cross-superstep buffer reuse across *jobs*).
 //!
-//! `workflow::assemble` in `ppa_assembler` builds one `ExecCtx` per run (or
-//! accepts one via `AssemblyConfig::exec`) and hands it down to all five
-//! operations, so an entire assembly executes on a single worker team.
+//! Every parallel entry point takes the caller's `ExecCtx` as its first
+//! argument. `workflow::try_assemble` in `ppa_assembler` builds one context
+//! per run (or accepts one via `AssemblyConfig::exec`) and hands it down to
+//! all five operations, so an entire assembly executes on a single worker
+//! team.
 //!
 //! # Dispatch contract
 //!
@@ -103,13 +105,16 @@ impl fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// Renders a panic payload as a message (payloads are `&str` or `String` in
-/// practice).
+/// Renders a panic payload as a message: `&str` and `String` payloads as
+/// they are, a typed [`EngineError`] payload (a spill failure, say) through
+/// its `Display`.
 pub fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
+    } else if let Some(e) = payload.downcast_ref::<EngineError>() {
+        e.to_string()
     } else {
         "non-string panic payload".to_string()
     }
@@ -392,14 +397,13 @@ fn worker_main(shared: &PoolShared, w: usize) {
     }
 }
 
-/// The execution context handed down from `AssemblyConfig`/`PregelConfig` to
-/// every parallel entry point: one shared [`WorkerPool`] plus the scratch
-/// cache in which the superstep runner parks its shuffle planes between jobs.
+/// The execution context every parallel entry point takes as its first
+/// argument: one shared [`WorkerPool`] plus the scratch cache in which the
+/// superstep runner parks its shuffle planes between jobs.
 ///
 /// Cloning is cheap and shares the pool (and scratch), so a workflow
-/// constructs one `ExecCtx` and clones it into each operation's
-/// configuration. Equality is identity: two `ExecCtx`s are equal iff they
-/// share the same pool.
+/// constructs one `ExecCtx` and passes it to every operation. Equality is
+/// identity: two `ExecCtx`s are equal iff they share the same pool.
 #[derive(Clone)]
 pub struct ExecCtx {
     inner: Arc<CtxInner>,
@@ -548,8 +552,8 @@ impl ExecCtx {
 
     /// Asserts that this context's pool size matches a configured worker
     /// count, naming `what` in the panic message. `workers` is clamped to 1
-    /// first, mirroring how every pool and config constructor clamps, so a
-    /// configured 0 pairs fine with the 1-thread pool it produces.
+    /// first, mirroring how the pool constructor clamps, so a configured 0
+    /// pairs fine with the 1-thread pool it produces.
     pub fn assert_matches(&self, workers: usize, what: &str) {
         assert_eq!(
             self.workers(),
@@ -723,6 +727,14 @@ mod tests {
         assert_eq!(panic_message(s.as_ref()), "static str");
         let s: Box<dyn Any + Send> = Box::new(String::from("owned"));
         assert_eq!(panic_message(s.as_ref()), "owned");
+        let s: Box<dyn Any + Send> = Box::new(EngineError::Spill(crate::spill::SpillError::Io {
+            path: "/tmp/x".to_string(),
+            op: "create spill dir",
+            message: "denied".to_string(),
+        }));
+        let message = panic_message(s.as_ref());
+        assert!(message.starts_with("spill failure: "), "{message}");
+        assert!(message.contains("create spill dir"), "{message}");
         let s: Box<dyn Any + Send> = Box::new(42u8);
         assert_eq!(panic_message(s.as_ref()), "non-string panic payload");
     }

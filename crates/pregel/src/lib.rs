@@ -81,19 +81,17 @@
 //!
 //! # Execution engine
 //!
-//! All of the parallel entry points — the superstep runner's compute and
-//! shuffle phases and the mini MapReduce's map and reduce phases — execute
-//! on the persistent worker pool of
-//! [`engine`] (per-superstep aggregate folding is a cheap O(workers) pass
-//! that stays on the dispatching thread): threads are spawned once per
-//! [`ExecCtx`] and phases are handed
-//! to the parked workers, instead of creating a fresh `std::thread::scope`
-//! team per superstep/phase. An `ExecCtx` travels inside
-//! [`PregelConfig::exec`](config::PregelConfig::exec) (and, one level up,
-//! `AssemblyConfig::exec` in `ppa_assembler`), so a whole multi-job workflow
-//! runs on one worker team; entry points called without a context build a
-//! private single-job pool. The `ExecCtx` also owns the runner's shuffle
-//! planes between jobs, extending buffer reuse across whole job chains.
+//! Every parallel entry point — the superstep [`run`]ner's compute and
+//! shuffle phases and the mini MapReduce's map and reduce phases — takes the
+//! caller's [`ExecCtx`] as its first argument and executes on that context's
+//! persistent worker pool of [`engine`] (per-superstep aggregate folding is a
+//! cheap O(workers) pass that stays on the dispatching thread): threads are
+//! spawned once per [`ExecCtx`] and phases are handed to the parked workers,
+//! instead of creating a fresh `std::thread::scope` team per superstep/phase.
+//! One level up, `ppa_assembler` builds one context per assembly (or takes
+//! `AssemblyConfig::exec`), so a whole multi-job workflow runs on one worker
+//! team. The `ExecCtx` also owns the runner's shuffle planes between jobs,
+//! extending buffer reuse across whole job chains.
 //! `BENCH_worker_pool.json` records the comparison with the per-phase
 //! scoped-spawn dispatch this replaced, on a short-superstep chain workload.
 
@@ -103,7 +101,6 @@
 pub mod aggregate;
 pub mod algorithms;
 pub mod chain;
-pub mod config;
 pub mod control;
 pub mod engine;
 pub mod fault;
@@ -119,17 +116,13 @@ pub mod vertex;
 pub mod vertex_set;
 
 pub use aggregate::{Aggregate, BoolOr, Count, MaxU64, MinU64, NoAggregate, SumU64};
-pub use config::PregelConfig;
 pub use control::{CancelReason, JobControl};
 pub use engine::{EngineError, ExecCtx, WorkerPool};
 pub use fault::{ArmedFaults, Fault, FaultPlan};
-pub use mapreduce::{
-    map_reduce, map_reduce_on, map_reduce_spillable_on, map_reduce_with_metrics,
-    map_reduce_with_metrics_on, MapReduceMetrics,
-};
+pub use mapreduce::{map_reduce, map_reduce_spillable, MapReduceMetrics};
 pub use metrics::{Metrics, SuperstepMetrics};
 pub use radix::SortKey;
-pub use runner::{run, run_from_pairs, run_on, try_run_on};
+pub use runner::run;
 pub use spill::{SpillCodec, SpillCodecs, SpillError, SpillPolicy};
 pub use vertex::{Context, VertexKey, VertexProgram};
 pub use vertex_set::VertexSet;

@@ -20,18 +20,18 @@
 //! comparison fallback), so equal-key values reach `reduce` in emission
 //! order.
 //!
-//! The partitioned variant [`map_reduce_partitioned`] exposes which worker
-//! produced each output, which contig merging needs in order to mint contig
-//! IDs of the form `worker ‖ ordinal` (Figure 7c).
+//! The reduce UDF also receives the index of the worker executing it, and the
+//! outputs come back per worker: contig merging needs both in order to mint
+//! contig IDs of the form `worker ‖ ordinal` (Figure 7c). Callers that want
+//! one flat vector flatten the result.
 //!
-//! Both phases dispatch onto a persistent [`ExecCtx`] worker pool: the `*_on`
-//! variants run on a caller-provided context (one pool shared by a whole
-//! workflow), while the plain variants build a private single-pass context —
-//! either way, no per-phase thread scope is created.
+//! Both phases dispatch onto the persistent worker pool of the caller's
+//! [`ExecCtx`] (one pool shared by a whole workflow); no per-phase thread
+//! scope is created.
 //!
 //! # Out-of-core execution
 //!
-//! [`map_reduce_spillable_on`] is the bounded-memory entry: when the context
+//! [`map_reduce_spillable`] is the bounded-memory entry: when the context
 //! carries a [`SpillPolicy`](crate::SpillPolicy) byte cap, each map worker
 //! presorts and writes its buffered pairs out as sorted run files (see
 //! [`crate::spill`]) whenever the buffered estimate crosses
@@ -91,7 +91,7 @@ pub struct MapReduceMetrics {
     /// Wall-clock time of the whole pass.
     pub elapsed: Duration,
     /// Bytes written to sorted map-side run files. 0 unless the pass ran via
-    /// [`map_reduce_spillable_on`] under a [`SpillPolicy`](crate::SpillPolicy)
+    /// [`map_reduce_spillable`] under a [`SpillPolicy`](crate::SpillPolicy)
     /// cap that tripped.
     pub spilled_bytes: u64,
     /// Bytes streamed back from run files by the reduce-side merge.
@@ -100,111 +100,17 @@ pub struct MapReduceMetrics {
     pub spilled_runs: u64,
 }
 
-/// Runs a mini-MapReduce pass and returns the outputs of every group,
-/// concatenated in worker order (deterministic for a fixed worker count).
+/// Runs a mini-MapReduce pass on the worker pool of `ctx` and returns the
+/// outputs of every reduce worker (index = worker; deterministic for a fixed
+/// worker count) together with the pass metrics.
 ///
-/// The reduce UDF receives each group as `(&key, &mut [value])` — the slice
-/// is a window into the worker's flat, key-sorted value buffer (it may be
-/// reordered freely, e.g. sorted, but only lives for the duration of the
-/// call) — and pushes its outputs into the worker's shared output vector, so
-/// neither side of the shuffle allocates a container per key.
+/// The reduce UDF receives the index of the worker executing it and each
+/// group as `(&key, &mut [value])` — the slice is a window into the worker's
+/// flat, key-sorted value buffer (it may be reordered freely, e.g. sorted,
+/// but only lives for the duration of the call) — and pushes its outputs into
+/// the worker's shared output vector, so neither side of the shuffle
+/// allocates a container per key.
 pub fn map_reduce<I, K, V, O, MF, RF>(
-    inputs: Vec<I>,
-    workers: usize,
-    map_fn: MF,
-    reduce_fn: RF,
-) -> Vec<O>
-where
-    I: Send,
-    K: Hash + Eq + Ord + SortKey + Send,
-    V: Send,
-    O: Send,
-    MF: Fn(I, &mut Emitter<'_, K, V>) + Sync,
-    RF: Fn(&K, &mut [V], &mut Vec<O>) + Sync,
-{
-    map_reduce_with_metrics(inputs, workers, map_fn, reduce_fn).0
-}
-
-/// Like [`map_reduce`] but also returns [`MapReduceMetrics`].
-pub fn map_reduce_with_metrics<I, K, V, O, MF, RF>(
-    inputs: Vec<I>,
-    workers: usize,
-    map_fn: MF,
-    reduce_fn: RF,
-) -> (Vec<O>, MapReduceMetrics)
-where
-    I: Send,
-    K: Hash + Eq + Ord + SortKey + Send,
-    V: Send,
-    O: Send,
-    MF: Fn(I, &mut Emitter<'_, K, V>) + Sync,
-    RF: Fn(&K, &mut [V], &mut Vec<O>) + Sync,
-{
-    map_reduce_with_metrics_on(&ExecCtx::new(workers), inputs, map_fn, reduce_fn)
-}
-
-/// [`map_reduce`] on a caller-provided execution context (the worker count is
-/// the context's pool size).
-pub fn map_reduce_on<I, K, V, O, MF, RF>(
-    ctx: &ExecCtx,
-    inputs: Vec<I>,
-    map_fn: MF,
-    reduce_fn: RF,
-) -> Vec<O>
-where
-    I: Send,
-    K: Hash + Eq + Ord + SortKey + Send,
-    V: Send,
-    O: Send,
-    MF: Fn(I, &mut Emitter<'_, K, V>) + Sync,
-    RF: Fn(&K, &mut [V], &mut Vec<O>) + Sync,
-{
-    map_reduce_with_metrics_on(ctx, inputs, map_fn, reduce_fn).0
-}
-
-/// [`map_reduce_with_metrics`] on a caller-provided execution context.
-pub fn map_reduce_with_metrics_on<I, K, V, O, MF, RF>(
-    ctx: &ExecCtx,
-    inputs: Vec<I>,
-    map_fn: MF,
-    reduce_fn: RF,
-) -> (Vec<O>, MapReduceMetrics)
-where
-    I: Send,
-    K: Hash + Eq + Ord + SortKey + Send,
-    V: Send,
-    O: Send,
-    MF: Fn(I, &mut Emitter<'_, K, V>) + Sync,
-    RF: Fn(&K, &mut [V], &mut Vec<O>) + Sync,
-{
-    let (per_worker, metrics) =
-        map_reduce_partitioned_on(ctx, inputs, map_fn, |_w, k, vs, out| reduce_fn(k, vs, out));
-    (per_worker.into_iter().flatten().collect(), metrics)
-}
-
-/// The fully general mini-MapReduce: the reduce UDF additionally receives the
-/// index of the worker executing it, and the outputs are returned per worker.
-pub fn map_reduce_partitioned<I, K, V, O, MF, RF>(
-    inputs: Vec<I>,
-    workers: usize,
-    map_fn: MF,
-    reduce_fn: RF,
-) -> (Vec<Vec<O>>, MapReduceMetrics)
-where
-    I: Send,
-    K: Hash + Eq + Ord + SortKey + Send,
-    V: Send,
-    O: Send,
-    MF: Fn(I, &mut Emitter<'_, K, V>) + Sync,
-    RF: Fn(usize, &K, &mut [V], &mut Vec<O>) + Sync,
-{
-    map_reduce_partitioned_on(&ExecCtx::new(workers), inputs, map_fn, reduce_fn)
-}
-
-/// [`map_reduce_partitioned`] on a caller-provided execution context: both
-/// the map and the reduce phase dispatch onto the context's persistent pool
-/// instead of spawning a thread scope each.
-pub fn map_reduce_partitioned_on<I, K, V, O, MF, RF>(
     ctx: &ExecCtx,
     inputs: Vec<I>,
     map_fn: MF,
@@ -221,7 +127,7 @@ where
     map_reduce_inner(ctx, inputs, map_fn, reduce_fn, None)
 }
 
-/// The bounded-memory mini MapReduce: like [`map_reduce_partitioned_on`], but
+/// The bounded-memory mini MapReduce: like [`map_reduce`], but
 /// when the context carries a [`SpillPolicy`](crate::SpillPolicy) byte cap the
 /// map phase spills presorted run files to disk once a worker's buffered
 /// pairs exceed `cap / (4 × workers)` bytes, and the reduce phase streams
@@ -234,10 +140,10 @@ where
 ///
 /// # Panics
 ///
-/// Raises [`EngineError::Spill`] via panic (caught by `try_run`-style
-/// wrappers) if run-file I/O fails; spill files are transient scratch, so
+/// Raises [`EngineError::Spill`] via panic (caught at the pipeline's stage
+/// boundary) if run-file I/O fails; spill files are transient scratch, so
 /// there is nothing to recover mid-pass.
-pub fn map_reduce_spillable_on<I, K, V, O, MF, RF>(
+pub fn map_reduce_spillable<I, K, V, O, MF, RF>(
     ctx: &ExecCtx,
     inputs: Vec<I>,
     map_fn: MF,
@@ -493,22 +399,29 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Concatenates the per-worker outputs of a pass in worker order.
+    fn flat<O>(
+        (per_worker, metrics): (Vec<Vec<O>>, MapReduceMetrics),
+    ) -> (Vec<O>, MapReduceMetrics) {
+        (per_worker.into_iter().flatten().collect(), metrics)
+    }
+
     #[test]
     fn word_count() {
         let docs = ["a b a", "b c", "a", ""];
         let inputs: Vec<String> = docs.iter().map(|s| s.to_string()).collect();
-        let (counts, metrics) = map_reduce_with_metrics(
+        let (counts, metrics) = flat(map_reduce(
+            &ExecCtx::new(3),
             inputs,
-            3,
             |doc: String, out: &mut Emitter<'_, String, u64>| {
                 for w in doc.split_whitespace() {
                     out.emit(w.to_string(), 1u64);
                 }
             },
-            |k: &String, vs: &mut [u64], out: &mut Vec<(String, u64)>| {
+            |_w, k: &String, vs: &mut [u64], out: &mut Vec<(String, u64)>| {
                 out.push((k.clone(), vs.iter().sum::<u64>()))
             },
-        );
+        ));
         let mut counts: Vec<(String, u64)> = counts;
         counts.sort();
         assert_eq!(
@@ -530,17 +443,17 @@ mod tests {
         // Keep only keys whose total exceeds a threshold — the same pattern as
         // the coverage filter θ in DBG construction.
         let inputs: Vec<u64> = (0..100).collect();
-        let out = map_reduce(
+        let (out, _) = flat(map_reduce(
+            &ExecCtx::new(4),
             inputs,
-            4,
             |x: u64, out: &mut Emitter<'_, u64, u64>| out.emit(x % 10, 1),
-            |k: &u64, vs: &mut [u64], out: &mut Vec<u64>| {
+            |_w, k: &u64, vs: &mut [u64], out: &mut Vec<u64>| {
                 let total: u64 = vs.iter().sum();
                 if total >= 10 && (*k).is_multiple_of(2) {
                     out.push(*k);
                 }
             },
-        );
+        ));
         let mut out = out;
         out.sort();
         assert_eq!(out, vec![0, 2, 4, 6, 8]);
@@ -549,9 +462,9 @@ mod tests {
     #[test]
     fn partitioned_exposes_worker_index() {
         let inputs: Vec<u64> = (0..50).collect();
-        let (per_worker, _) = map_reduce_partitioned(
+        let (per_worker, _) = map_reduce(
+            &ExecCtx::new(4),
             inputs,
-            4,
             |x: u64, out: &mut Emitter<'_, u64, u64>| out.emit(x, x),
             |w: usize, _k: &u64, vs: &mut [u64], out: &mut Vec<(usize, u64)>| {
                 out.extend(vs.iter().map(|&v| (w, v)));
@@ -576,14 +489,14 @@ mod tests {
         let ctx = ExecCtx::new(3);
         for round in 1u64..=4 {
             let inputs: Vec<u64> = (0..60).collect();
-            let mut out = map_reduce_on(
+            let (mut out, _) = flat(map_reduce(
                 &ctx,
                 inputs,
                 |x: u64, out: &mut Emitter<'_, u64, u64>| out.emit(x % 5, x * round),
-                |k: &u64, vs: &mut [u64], out: &mut Vec<(u64, u64)>| {
+                |_w, k: &u64, vs: &mut [u64], out: &mut Vec<(u64, u64)>| {
                     out.push((*k, vs.iter().sum::<u64>()))
                 },
-            );
+            ));
             out.sort_unstable();
             let expected: u64 = (0..60u64).map(|x| x * round).sum();
             assert_eq!(out.iter().map(|&(_, s)| s).sum::<u64>(), expected);
@@ -594,12 +507,12 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let (out, metrics) = map_reduce_with_metrics(
+        let (out, metrics) = flat(map_reduce(
+            &ExecCtx::new(4),
             Vec::<u64>::new(),
-            4,
             |x: u64, out: &mut Emitter<'_, u64, u64>| out.emit(x, x),
-            |_k: &u64, vs: &mut [u64], out: &mut Vec<u64>| out.extend_from_slice(vs),
-        );
+            |_w, _k: &u64, vs: &mut [u64], out: &mut Vec<u64>| out.extend_from_slice(vs),
+        ));
         assert!(out.is_empty());
         assert_eq!(metrics.groups, 0);
     }
@@ -607,12 +520,12 @@ mod tests {
     #[test]
     fn single_worker_is_sequential_but_correct() {
         let inputs: Vec<u64> = (0..20).collect();
-        let out = map_reduce(
+        let (out, _) = flat(map_reduce(
+            &ExecCtx::new(1),
             inputs,
-            1,
             |x: u64, out: &mut Emitter<'_, u64, u64>| out.emit(x % 2, x),
-            |k: &u64, vs: &mut [u64], out: &mut Vec<(u64, usize)>| out.push((*k, vs.len())),
-        );
+            |_w, k: &u64, vs: &mut [u64], out: &mut Vec<(u64, usize)>| out.push((*k, vs.len())),
+        ));
         let mut out = out;
         out.sort();
         assert_eq!(out, vec![(0, 10), (1, 10)]);
@@ -622,12 +535,12 @@ mod tests {
     fn group_order_is_sorted_within_worker() {
         // With one worker, outputs must appear in ascending key order.
         let inputs: Vec<u64> = vec![5, 3, 9, 1, 7];
-        let out = map_reduce(
+        let (out, _) = flat(map_reduce(
+            &ExecCtx::new(1),
             inputs,
-            1,
             |x: u64, out: &mut Emitter<'_, u64, ()>| out.emit(x, ()),
-            |k: &u64, _vs: &mut [()], out: &mut Vec<u64>| out.push(*k),
-        );
+            |_w, k: &u64, _vs: &mut [()], out: &mut Vec<u64>| out.push(*k),
+        ));
         assert_eq!(out, vec![1, 3, 5, 7, 9]);
     }
 
@@ -636,15 +549,15 @@ mod tests {
         // The reduce UDF is allowed to reorder its group in place (bubble
         // filtering sorts candidates by contig ID, for example).
         let inputs: Vec<u64> = vec![9, 3, 7, 1, 5];
-        let out = map_reduce(
+        let (out, _) = flat(map_reduce(
+            &ExecCtx::new(2),
             inputs,
-            2,
             |x: u64, out: &mut Emitter<'_, u64, u64>| out.emit(x % 2, x),
-            |_k: &u64, vs: &mut [u64], out: &mut Vec<Vec<u64>>| {
+            |_w, _k: &u64, vs: &mut [u64], out: &mut Vec<Vec<u64>>| {
                 vs.sort_unstable();
                 out.push(vs.to_vec());
             },
-        );
+        ));
         for group in out {
             assert!(group.windows(2).all(|w| w[0] <= w[1]));
         }
@@ -661,7 +574,7 @@ mod tests {
                 ctx.set_spill(crate::spill::SpillPolicy::At(cap));
             }
             let inputs: Vec<u64> = (0..20_000).collect();
-            let (out, metrics) = map_reduce_spillable_on(
+            let (out, metrics) = map_reduce_spillable(
                 &ctx,
                 inputs,
                 |x: u64, out: &mut Emitter<'_, u64, u64>| out.emit(x % 257, x),
@@ -708,12 +621,13 @@ mod tests {
         ) {
             // Aggregating reduce (the combiner-style shape).
             let expected = hash_grouped_sums(&pairs);
-            let out = map_reduce(
+            let ctx = ExecCtx::new(workers);
+            let (out, _) = flat(map_reduce(
+                &ctx,
                 pairs.clone(),
-                workers,
                 |p: (u64, u64), out: &mut Emitter<'_, u64, u64>| out.emit(p.0, p.1),
-                |k: &u64, vs: &mut [u64], out: &mut Vec<(u64, u64)>| out.push((*k, vs.iter().sum::<u64>())),
-            );
+                |_w, k: &u64, vs: &mut [u64], out: &mut Vec<(u64, u64)>| out.push((*k, vs.iter().sum::<u64>())),
+            ));
             prop_assert_eq!(out.len(), expected.len());
             for (k, sum) in out {
                 prop_assert_eq!(sum, expected[&k]);
@@ -721,12 +635,12 @@ mod tests {
 
             // Identity reduce (the non-combiner shape): every value survives,
             // grouped with its key.
-            let out = map_reduce(
+            let (out, _) = flat(map_reduce(
+                &ctx,
                 pairs.clone(),
-                workers,
                 |p: (u64, u64), out: &mut Emitter<'_, u64, u64>| out.emit(p.0, p.1),
-                |k: &u64, vs: &mut [u64], out: &mut Vec<(u64, u64)>| out.extend(vs.iter().map(|&v| (*k, v))),
-            );
+                |_w, k: &u64, vs: &mut [u64], out: &mut Vec<(u64, u64)>| out.extend(vs.iter().map(|&v| (*k, v))),
+            ));
             let mut got = out;
             let mut want = pairs.clone();
             got.sort_unstable();
@@ -740,12 +654,12 @@ mod tests {
         ) {
             let mut reference: Option<Vec<(u64, u64)>> = None;
             for workers in [1usize, 2, 5] {
-                let mut out = map_reduce(
+                let (mut out, _) = flat(map_reduce(
+                    &ExecCtx::new(workers),
                     pairs.clone(),
-                    workers,
                     |p: (u64, u64), out: &mut Emitter<'_, u64, u64>| out.emit(p.0, p.1),
-                    |k: &u64, vs: &mut [u64], out: &mut Vec<(u64, u64)>| out.push((*k, vs.iter().sum::<u64>())),
-                );
+                    |_w, k: &u64, vs: &mut [u64], out: &mut Vec<(u64, u64)>| out.push((*k, vs.iter().sum::<u64>())),
+                ));
                 out.sort_unstable();
                 match &reference {
                     Some(r) => prop_assert_eq!(r, &out),

@@ -36,12 +36,10 @@
 //! scan); `BENCH_message_plane.json` and `BENCH_vertex_store.json` record
 //! the before/after comparisons.
 //!
-//! Both phases are dispatched onto the persistent worker pool of an
-//! [`ExecCtx`] — either the one carried by
-//! [`PregelConfig::exec`](crate::config::PregelConfig::exec) (shared across a
-//! whole workflow, with the planes parked in the context between jobs) or a
-//! private single-job context; no per-superstep thread scope is created
-//! anywhere. See the `engine` module docs for the scoped-spawn comparison.
+//! Both phases are dispatched onto the persistent worker pool of the caller's
+//! [`ExecCtx`] (shared across a whole workflow, with the planes parked in the
+//! context between jobs); no per-superstep thread scope is created anywhere.
+//! See the `engine` module docs for the scoped-spawn comparison.
 //!
 //! # Out-of-core execution
 //!
@@ -61,7 +59,6 @@
 //! replaced by in-memory buffer handoff.
 
 use crate::aggregate::Aggregate;
-use crate::config::PregelConfig;
 use crate::engine::{EngineError, ExecCtx};
 use crate::kernels;
 use crate::metrics::{Metrics, SuperstepMetrics};
@@ -497,49 +494,31 @@ fn compute_sealed<P: VertexProgram>(
     Ok(seal.total_halted() == seal.total_slots() as u64)
 }
 
-/// Runs `program` over `vertices` until convergence and returns the metrics.
+/// Runs `program` over `vertices` on the persistent worker pool of `ctx`
+/// until convergence and returns the metrics.
 ///
-/// Executes on the persistent worker pool of
-/// [`config.exec`](crate::config::PregelConfig::exec) when one is set (the
-/// common case inside a workflow — all jobs share one pool and reuse its
-/// shuffle planes), or on a private single-job pool otherwise.
-///
-/// The vertex set keeps the final vertex values; a typical operation runs a
-/// job and then reads the set back with [`VertexSet::iter`] or
+/// Consecutive jobs on one context share its pool and reuse its shuffle
+/// planes. The vertex set keeps the final vertex values; a typical operation
+/// runs a job and then reads the set back with [`VertexSet::iter`] or
 /// [`VertexSet::into_pairs`].
+///
+/// `max_supersteps` is a safety cap: a job still running after that many
+/// supersteps stops and returns with [`Metrics::converged`] set to `false`.
 ///
 /// # Panics
 ///
-/// Panics if `config.workers` differs from the partitioning of `vertices`
-/// (construct the set with the same worker count), or if the superstep cap is
-/// exceeded with `debug_assertions` enabled.
+/// Panics if the pool size of `ctx` differs from the partitioning of
+/// `vertices` (construct the set with `ctx.workers()` partitions). A
+/// cooperative job-control trip or a spill I/O failure unwinds with a typed
+/// [`EngineError`] payload, raised on the calling thread at a phase barrier
+/// so the pool stays reusable; the pipeline converts it into a
+/// `PipelineError` at the stage boundary.
 pub fn run<P: VertexProgram>(
-    program: &P,
-    config: &PregelConfig,
-    vertices: &mut VertexSet<P::Id, P::Value>,
-) -> Metrics {
-    match config.exec.as_ref() {
-        Some(ctx) => run_on(ctx, program, config, vertices),
-        None => run_on(&ExecCtx::new(config.workers), program, config, vertices),
-    }
-}
-
-/// Like [`run`], but on an explicit execution context (ignoring
-/// `config.exec`). `ctx`, `config` and `vertices` must agree on the worker
-/// count.
-pub fn run_on<P: VertexProgram>(
     ctx: &ExecCtx,
     program: &P,
-    config: &PregelConfig,
     vertices: &mut VertexSet<P::Id, P::Value>,
+    max_supersteps: usize,
 ) -> Metrics {
-    assert_eq!(
-        config.workers,
-        vertices.workers(),
-        "PregelConfig.workers ({}) must match VertexSet partitioning ({})",
-        config.workers,
-        vertices.workers()
-    );
     ctx.assert_matches(vertices.workers(), "VertexSet partitioning");
     let workers = vertices.workers();
     let total_vertices = vertices.len();
@@ -566,7 +545,7 @@ pub fn run_on<P: VertexProgram>(
     // cap; the vertex store is additionally sealed to on-disk extents when its
     // resident footprint already exceeds the cap. Everything spilled lives in
     // one job-scoped temp directory whose `Drop` (and the per-file `Drop`s of
-    // runs and seals) removes it — a cancellation unwind through `run_on`
+    // runs and seals) removes it — a cancellation unwind through `run`
     // cleans up exactly like normal completion does.
     let spill_cfg: Option<(u64, SpillCodecs<P>)> =
         match (ctx.spill().and_then(|p| p.cap()), P::spill_codecs()) {
@@ -611,7 +590,7 @@ pub fn run_on<P: VertexProgram>(
     }
 
     loop {
-        if superstep >= config.max_supersteps {
+        if superstep >= max_supersteps {
             metrics.converged = false;
             break;
         }
@@ -775,8 +754,8 @@ pub fn run_on<P: VertexProgram>(
                 if let Some(reason) = control.poll(store_resident_bytes) {
                     // Raised on the coordinator thread, between phases: the
                     // pool never sees this panic and stays reusable. The
-                    // caller (try_run_on or the pipeline's catch_unwind)
-                    // downcasts the payload back into the typed error.
+                    // pipeline's catch_unwind downcasts the payload back into
+                    // the typed error.
                     std::panic::panic_any(EngineError::Cancelled { reason, superstep });
                 }
                 1u64
@@ -919,31 +898,29 @@ pub fn run_on<P: VertexProgram>(
         metrics.spilled_bytes += spilled_bytes_step;
         metrics.spill_read_bytes += spill_read_step;
         metrics.spilled_runs += spilled_runs_step;
-        if config.track_supersteps {
-            let busy = ctx.pool().busy_nanos().saturating_sub(busy_before);
-            let phase_wall = compute_elapsed + shuffle_elapsed;
-            let capacity = phase_wall.as_nanos() as u64 * workers as u64;
-            metrics.per_superstep.push(SuperstepMetrics {
-                superstep,
-                active_vertices: active_this_step,
-                messages_sent: messages_this_step,
-                messages_dropped: dropped_this_step,
-                elapsed: step_start.elapsed(),
-                compute_elapsed,
-                shuffle_elapsed,
-                pool_utilization: if capacity == 0 {
-                    0.0
-                } else {
-                    (busy as f64 / capacity as f64).min(1.0)
-                },
-                frontier_density,
-                store_resident_bytes,
-                cancellation_checks,
-                spilled_bytes: spilled_bytes_step,
-                spill_read_bytes: spill_read_step,
-                spilled_runs: spilled_runs_step,
-            });
-        }
+        let busy = ctx.pool().busy_nanos().saturating_sub(busy_before);
+        let phase_wall = compute_elapsed + shuffle_elapsed;
+        let capacity = phase_wall.as_nanos() as u64 * workers as u64;
+        metrics.per_superstep.push(SuperstepMetrics {
+            superstep,
+            active_vertices: active_this_step,
+            messages_sent: messages_this_step,
+            messages_dropped: dropped_this_step,
+            elapsed: step_start.elapsed(),
+            compute_elapsed,
+            shuffle_elapsed,
+            pool_utilization: if capacity == 0 {
+                0.0
+            } else {
+                (busy as f64 / capacity as f64).min(1.0)
+            },
+            frontier_density,
+            store_resident_bytes,
+            cancellation_checks,
+            spilled_bytes: spilled_bytes_step,
+            spill_read_bytes: spill_read_step,
+            spilled_runs: spilled_runs_step,
+        });
 
         if program.should_terminate(&aggregate, superstep) {
             metrics.converged = true;
@@ -1025,52 +1002,44 @@ fn combine_buf<P: VertexProgram>(
     std::mem::swap(buf, scratch);
 }
 
-/// Like [`run_on`], but catches a cooperative job-control trip and returns it
-/// as a typed [`EngineError`] instead of unwinding.
-///
-/// On `Err(EngineError::Cancelled { .. })` the pool is clean and immediately
-/// reusable: the trip is raised on the coordinator thread at a superstep
-/// boundary, never inside a pool worker. The vertex set is left in its
-/// mid-job (barrier-consistent) state and should normally be discarded. The
-/// same applies to `Err(EngineError::Spill(..))` — spill I/O failures from
-/// the workers are collected at the phase barrier and re-raised on the
-/// coordinator, and every temporary spill file is removed by the unwind. Any
-/// other panic — a program bug, an injected worker fault — is re-raised
-/// unchanged.
-pub fn try_run_on<P: VertexProgram>(
-    ctx: &ExecCtx,
-    program: &P,
-    config: &PregelConfig,
-    vertices: &mut VertexSet<P::Id, P::Value>,
-) -> Result<Metrics, EngineError> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_on(ctx, program, config, vertices)
-    })) {
-        Ok(metrics) => Ok(metrics),
-        Err(payload) => match payload.downcast::<EngineError>() {
-            Ok(err) => Err(*err),
-            Err(payload) => std::panic::resume_unwind(payload),
-        },
-    }
-}
-
-/// Convenience wrapper: partitions `pairs` over `config.workers` workers, runs
-/// the program, and returns both the final vertex set and the metrics.
-pub fn run_from_pairs<P: VertexProgram>(
-    program: &P,
-    config: &PregelConfig,
-    pairs: impl IntoIterator<Item = (P::Id, P::Value)>,
-) -> (VertexSet<P::Id, P::Value>, Metrics) {
-    let mut set = VertexSet::from_pairs(config.workers, pairs);
-    let metrics = run(program, config, &mut set);
-    (set, metrics)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::aggregate::{BoolOr, NoAggregate, SumU64};
     use proptest::prelude::*;
+
+    /// Superstep cap of the jobs that are expected to converge.
+    const CAP: usize = 10_000;
+
+    /// Partitions `pairs` over `workers`, runs `program` on a fresh context of
+    /// that size, and returns the final vertex set and the metrics.
+    fn run_pairs<P: VertexProgram>(
+        program: &P,
+        workers: usize,
+        max_supersteps: usize,
+        pairs: impl IntoIterator<Item = (P::Id, P::Value)>,
+    ) -> (VertexSet<P::Id, P::Value>, Metrics) {
+        let mut set = VertexSet::from_pairs(workers, pairs);
+        let metrics = run(&ExecCtx::new(workers), program, &mut set, max_supersteps);
+        (set, metrics)
+    }
+
+    /// Runs the job and catches a typed [`EngineError`] unwind; any other
+    /// panic is re-raised unchanged.
+    fn run_caught<P: VertexProgram>(
+        ctx: &ExecCtx,
+        program: &P,
+        vertices: &mut VertexSet<P::Id, P::Value>,
+        max_supersteps: usize,
+    ) -> Result<Metrics, EngineError> {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run(ctx, program, vertices, max_supersteps)
+        }))
+        .map_err(|payload| match payload.downcast::<EngineError>() {
+            Ok(err) => *err,
+            Err(payload) => std::panic::resume_unwind(payload),
+        })
+    }
 
     /// Each vertex starts with a number and floods the maximum over a ring;
     /// classic Pregel smoke test exercising reactivation and halting.
@@ -1112,7 +1081,6 @@ mod tests {
     fn max_flood_on_ring_converges() {
         let n = 64u64;
         let program = MaxFlood { ring: n as usize };
-        let config = PregelConfig::with_workers(4);
         let pairs = (0..n).map(|i| {
             (
                 i,
@@ -1122,7 +1090,7 @@ mod tests {
                 },
             )
         });
-        let (set, metrics) = run_from_pairs(&program, &config, pairs);
+        let (set, metrics) = run_pairs(&program, 4, CAP, pairs);
         let expected = (0..n).map(|i| i * 7 % 97).max().unwrap();
         for (_, v) in set.iter() {
             assert_eq!(v.value, expected);
@@ -1158,8 +1126,7 @@ mod tests {
 
     #[test]
     fn aggregator_and_forced_termination() {
-        let config = PregelConfig::with_workers(3);
-        let (_, metrics) = run_from_pairs(&CountAndStop, &config, (0..10).map(|i| (i, ())));
+        let (_, metrics) = run_pairs(&CountAndStop, 3, CAP, (0..10).map(|i| (i, ())));
         assert!(metrics.converged);
         assert_eq!(metrics.supersteps, 1);
         assert_eq!(metrics.total_compute_calls, 10);
@@ -1199,8 +1166,7 @@ mod tests {
 
     #[test]
     fn combiner_merges_messages() {
-        let config = PregelConfig::with_workers(4);
-        let (set, metrics) = run_from_pairs(&SumToRoot, &config, (0..100).map(|i| (i, 0u64)));
+        let (set, metrics) = run_pairs(&SumToRoot, 4, CAP, (0..100).map(|i| (i, 0u64)));
         assert_eq!(*set.get(&0).unwrap(), 100);
         // 100 logical messages were sent even though the combiner merged them.
         assert_eq!(metrics.total_messages, 100);
@@ -1237,8 +1203,7 @@ mod tests {
                 *acc += incoming;
             }
         }
-        let config = PregelConfig::with_workers(2);
-        let (set, _) = run_from_pairs(&CountSlice, &config, (0..40).map(|i| (i, 0u64)));
+        let (set, _) = run_pairs(&CountSlice, 2, CAP, (0..40).map(|i| (i, 0u64)));
         assert_eq!(*set.get(&3).unwrap(), 40 * 5);
     }
 
@@ -1259,8 +1224,7 @@ mod tests {
 
     #[test]
     fn messages_to_missing_vertices_are_dropped() {
-        let config = PregelConfig::with_workers(2);
-        let (_, metrics) = run_from_pairs(&SendToNowhere, &config, (0..5).map(|i| (i, ())));
+        let (_, metrics) = run_pairs(&SendToNowhere, 2, CAP, (0..5).map(|i| (i, ())));
         assert_eq!(metrics.total_dropped, 5);
         assert!(metrics.converged);
     }
@@ -1278,8 +1242,7 @@ mod tests {
 
     #[test]
     fn superstep_cap_stops_runaway_jobs() {
-        let config = PregelConfig::with_workers(2).max_supersteps(5);
-        let (_, metrics) = run_from_pairs(&NeverHalts, &config, (0..3).map(|i| (i, ())));
+        let (_, metrics) = run_pairs(&NeverHalts, 2, 5, (0..3).map(|i| (i, ())));
         assert!(!metrics.converged);
         assert_eq!(metrics.supersteps, 5);
     }
@@ -1312,10 +1275,10 @@ mod tests {
 
     #[test]
     fn frontier_density_reflects_sparse_frontiers() {
-        let config = PregelConfig::with_workers(2);
-        let (_, metrics) = run_from_pairs(
+        let (_, metrics) = run_pairs(
             &SparseWalk { steps: 10 },
-            &config,
+            2,
+            CAP,
             (0..1000).map(|i| (i, 0u64)),
         );
         assert!(metrics.converged);
@@ -1330,18 +1293,13 @@ mod tests {
         assert!(metrics.avg_frontier_density > 0.0);
         assert!(metrics.peak_store_resident_bytes > 0);
         // A dense program over the same set reports a dense mean.
-        let (_, dense) = run_from_pairs(
-            &NeverHalts,
-            &config.clone().max_supersteps(3),
-            (0..10).map(|i| (i, ())),
-        );
+        let (_, dense) = run_pairs(&NeverHalts, 2, 3, (0..10).map(|i| (i, ())));
         assert!(dense.avg_frontier_density > 0.99);
     }
 
     #[test]
     fn empty_vertex_set_converges_immediately() {
-        let config = PregelConfig::with_workers(2);
-        let (set, metrics) = run_from_pairs(&NeverHalts, &config, std::iter::empty::<(u64, ())>());
+        let (set, metrics) = run_pairs(&NeverHalts, 2, CAP, std::iter::empty::<(u64, ())>());
         assert!(set.is_empty());
         assert!(metrics.converged);
         assert_eq!(metrics.supersteps, 1);
@@ -1352,11 +1310,8 @@ mod tests {
         let ctx = ExecCtx::new(2);
         let control = crate::control::JobControl::new();
         ctx.set_control(control.clone());
-        let config = PregelConfig::with_workers(2)
-            .max_supersteps(4)
-            .track_supersteps(true);
         let mut set: VertexSet<u64, ()> = VertexSet::from_pairs(2, (0..6).map(|i| (i, ())));
-        let metrics = run_on(&ctx, &NeverHalts, &config, &mut set);
+        let metrics = run(&ctx, &NeverHalts, &mut set, 4);
         ctx.clear_control();
         assert_eq!(metrics.supersteps, 4);
         assert_eq!(metrics.total_cancellation_checks, 4);
@@ -1367,7 +1322,7 @@ mod tests {
         assert_eq!(control.checks(), 4);
         // Without a control handle the counters stay zero.
         let mut set: VertexSet<u64, ()> = VertexSet::from_pairs(2, (0..6).map(|i| (i, ())));
-        let metrics = run_on(&ctx, &NeverHalts, &config, &mut set);
+        let metrics = run(&ctx, &NeverHalts, &mut set, 4);
         assert_eq!(metrics.total_cancellation_checks, 0);
         assert!(metrics
             .per_superstep
@@ -1396,9 +1351,8 @@ mod tests {
                 control.cancel();
             })
         };
-        let config = PregelConfig::with_workers(2).max_supersteps(1000);
         let mut set: VertexSet<u64, ()> = VertexSet::from_pairs(2, (0..8).map(|i| (i, ())));
-        let err = try_run_on(&ctx, &NeverHalts, &config, &mut set).unwrap_err();
+        let err = run_caught(&ctx, &NeverHalts, &mut set, 1000).unwrap_err();
         watcher.join().expect("watcher thread");
         ctx.clear_control();
         match err {
@@ -1414,11 +1368,8 @@ mod tests {
         assert!(err.to_string().contains("cancelled"));
 
         // The pool is immediately reusable and deterministic.
-        let (set, metrics) = run_from_pairs(
-            &SumToRoot,
-            &PregelConfig::with_workers(2),
-            (0..100).map(|i| (i, 0u64)),
-        );
+        let mut set = VertexSet::from_pairs(2, (0..100).map(|i| (i, 0u64)));
+        let metrics = run(&ctx, &SumToRoot, &mut set, CAP);
         assert_eq!(*set.get(&0).unwrap(), 100);
         assert!(metrics.converged);
     }
@@ -1429,9 +1380,8 @@ mod tests {
         let ctx = ExecCtx::new(2);
         // 1 byte: any non-empty store exceeds it at the first boundary.
         ctx.set_control(JobControl::new().with_memory_budget(1));
-        let config = PregelConfig::with_workers(2).max_supersteps(10);
         let mut set: VertexSet<u64, ()> = VertexSet::from_pairs(2, (0..8).map(|i| (i, ())));
-        let err = try_run_on(&ctx, &NeverHalts, &config, &mut set).unwrap_err();
+        let err = run_caught(&ctx, &NeverHalts, &mut set, 10).unwrap_err();
         ctx.clear_control();
         assert_eq!(
             err,
@@ -1458,9 +1408,8 @@ mod tests {
             millis: 600,
         }));
         ctx.set_control(JobControl::new().with_deadline_in(Duration::from_millis(150)));
-        let config = PregelConfig::with_workers(2).max_supersteps(10);
         let mut set: VertexSet<u64, ()> = VertexSet::from_pairs(2, (0..8).map(|i| (i, ())));
-        let err = try_run_on(&ctx, &NeverHalts, &config, &mut set).unwrap_err();
+        let err = run_caught(&ctx, &NeverHalts, &mut set, 10).unwrap_err();
         ctx.clear_control();
         ctx.clear_faults();
         assert!(armed.all_fired(), "the stall must fire");
@@ -1482,10 +1431,9 @@ mod tests {
             superstep: 0,
             worker: 0,
         }));
-        let config = PregelConfig::with_workers(2).max_supersteps(5);
         let mut set: VertexSet<u64, ()> = VertexSet::from_pairs(2, (0..4).map(|i| (i, ())));
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            try_run_on(&ctx, &NeverHalts, &config, &mut set)
+            run_caught(&ctx, &NeverHalts, &mut set, 5)
         }));
         ctx.clear_faults();
         assert!(armed.all_fired());
@@ -1499,8 +1447,7 @@ mod tests {
     #[should_panic(expected = "must match")]
     fn mismatched_worker_count_panics() {
         let mut set: VertexSet<u64, ()> = VertexSet::from_pairs(3, (0..3).map(|i| (i, ())));
-        let config = PregelConfig::with_workers(2);
-        let _ = run(&NeverHalts, &config, &mut set);
+        let _ = run(&ExecCtx::new(2), &NeverHalts, &mut set, CAP);
     }
 
     // ---- out-of-core spilling ------------------------------------------------
@@ -1605,12 +1552,11 @@ mod tests {
         if let Some(cap) = cap {
             ctx.set_spill(crate::spill::SpillPolicy::At(cap));
         }
-        let config = PregelConfig::with_workers(workers);
         let mut set: VertexSet<u64, u64> = VertexSet::from_pairs(
             workers,
             (0u64..20_000).map(|i| (i, i.wrapping_mul(2654435761) % 997)),
         );
-        let metrics = run_on(&ctx, &program, &config, &mut set);
+        let metrics = run(&ctx, &program, &mut set, CAP);
         ctx.clear_spill();
         let mut pairs: Vec<(u64, u64)> = set.iter().map(|(id, v)| (id, *v)).collect();
         pairs.sort_unstable();
@@ -1670,9 +1616,8 @@ mod tests {
             if let Some(cap) = cap {
                 ctx.set_spill(crate::spill::SpillPolicy::At(cap));
             }
-            let config = PregelConfig::with_workers(4);
             let mut set: VertexSet<u64, u64> = VertexSet::from_pairs(4, (0..n).map(|i| (i, 0u64)));
-            let metrics = run_on(&ctx, &SpillSum, &config, &mut set);
+            let metrics = run(&ctx, &SpillSum, &mut set, CAP);
             ctx.clear_spill();
             assert_eq!(*set.get(&0).unwrap(), n);
             assert!(metrics.converged);
@@ -1687,9 +1632,8 @@ mod tests {
     fn programs_without_codecs_ignore_the_spill_policy() {
         let ctx = ExecCtx::new(2);
         ctx.set_spill(crate::spill::SpillPolicy::At(1));
-        let config = PregelConfig::with_workers(2).max_supersteps(3);
         let mut set: VertexSet<u64, ()> = VertexSet::from_pairs(2, (0..16).map(|i| (i, ())));
-        let metrics = run_on(&ctx, &NeverHalts, &config, &mut set);
+        let metrics = run(&ctx, &NeverHalts, &mut set, 3);
         ctx.clear_spill();
         assert_eq!(metrics.spilled_bytes, 0);
         assert_eq!(metrics.spilled_runs, 0);
@@ -1708,9 +1652,8 @@ mod tests {
         ctx.set_spill(crate::spill::SpillPolicy::At(2048));
         ctx.set_control(JobControl::new().with_memory_budget(1));
         let program = HopFlood { n: 512, hops: 6 };
-        let config = PregelConfig::with_workers(2);
         let mut set: VertexSet<u64, u64> = VertexSet::from_pairs(2, (0..512).map(|i| (i, i % 97)));
-        let err = try_run_on(&ctx, &program, &config, &mut set).unwrap_err();
+        let err = run_caught(&ctx, &program, &mut set, CAP).unwrap_err();
         ctx.clear_control();
         ctx.clear_spill();
         assert_eq!(
@@ -1826,12 +1769,10 @@ mod tests {
                 plan[sender as usize].push((target, payload));
             }
             let expected = oracle_sums(n, &plan);
-            let config = PregelConfig::with_workers(workers);
 
             // Without a combiner.
             let program = PlannedScatter { plan: plan.clone(), combine: false };
-            let (set, metrics) =
-                run_from_pairs(&program, &config, (0..n).map(|i| (i, 0u64)));
+            let (set, metrics) = run_pairs(&program, workers, CAP, (0..n).map(|i| (i, 0u64)));
             for (id, v) in set.iter() {
                 prop_assert_eq!(*v, expected[id as usize]);
             }
@@ -1840,8 +1781,7 @@ mod tests {
 
             // With a sum combiner: same delivered totals, same logical count.
             let program = PlannedScatterCombined { plan };
-            let (set, metrics) =
-                run_from_pairs(&program, &config, (0..n).map(|i| (i, 0u64)));
+            let (set, metrics) = run_pairs(&program, workers, CAP, (0..n).map(|i| (i, 0u64)));
             for (id, v) in set.iter() {
                 prop_assert_eq!(*v, expected[id as usize]);
             }
@@ -1978,8 +1918,7 @@ mod tests {
         ) {
             let program = HaltPattern { n, rounds };
             let (expected, oracle_steps) = oracle_run(&program);
-            let config = PregelConfig::with_workers(workers);
-            let (set, metrics) = run_from_pairs(&program, &config, (0..n).map(|i| (i, i)));
+            let (set, metrics) = run_pairs(&program, workers, CAP, (0..n).map(|i| (i, i)));
             prop_assert_eq!(metrics.supersteps, oracle_steps);
             for (id, value, halted) in expected {
                 prop_assert_eq!(set.get(&id), Some(&value), "value of {}", id);

@@ -6,7 +6,7 @@
 //! Run with: `cargo run -p ppa-examples --release --bin checkpoint_resume`
 
 use ppa_assembler::pipeline::{CheckpointPolicy, GraphState, Pipeline};
-use ppa_assembler::{assemble, AssemblyConfig};
+use ppa_assembler::{try_assemble, AssemblyConfig};
 use ppa_pregel::{ExecCtx, Fault, FaultPlan};
 use ppa_readsim::{GenomeConfig, ReadSimConfig};
 
@@ -39,7 +39,7 @@ fn main() {
     };
 
     // 2. The uninterrupted reference run.
-    let baseline = assemble(&reads, &config);
+    let baseline = try_assemble(&reads, &config).expect("uninterrupted assembly succeeds");
     println!(
         "baseline: {} contigs, N50 {} bp",
         baseline.contigs.len(),

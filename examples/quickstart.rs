@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run -p ppa-examples --release --bin quickstart`
 
-use ppa_assembler::{assemble, AssemblyConfig};
+use ppa_assembler::{try_assemble, AssemblyConfig};
 use ppa_quality::QuastReport;
 use ppa_readsim::{GenomeConfig, ReadSimConfig};
 
@@ -37,7 +37,7 @@ fn main() {
         workers: 4,
         ..Default::default()
     };
-    let assembly = assemble(&reads, &config);
+    let assembly = try_assemble(&reads, &config).expect("assembly succeeds");
     println!(
         "assembled {} contigs, total {} bp, N50 {} bp, largest {} bp in {:.2}s",
         assembly.contigs.len(),

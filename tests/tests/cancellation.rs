@@ -75,7 +75,9 @@ impl Drop for TmpDir {
 /// must reproduce.
 fn baseline<'r>(reads: &'r ReadSet, ctx: &ExecCtx) -> GraphState<'r> {
     let mut state = GraphState::new(reads);
-    Pipeline::paper_workflow(&config()).run(&mut state, ctx);
+    Pipeline::paper_workflow(&config())
+        .try_run(&mut state, ctx)
+        .expect("the pipeline runs");
     assert!(!state.output.is_empty(), "the baseline must assemble");
     state
 }
@@ -309,7 +311,9 @@ fn an_async_cancel_unwinds_cleanly_and_the_pool_stays_reusable() {
     // Job 2 on the *same* context must be byte-identical to the reference:
     // no poisoned slots, stale messages or half-dispatched phases survive.
     let mut reused = GraphState::new(&reads);
-    Pipeline::paper_workflow(&config()).run(&mut reused, &ctx);
+    Pipeline::paper_workflow(&config())
+        .try_run(&mut reused, &ctx)
+        .expect("the pipeline runs");
     assert_eq!(
         reused, expected,
         "job 2 on the surviving pool diverged from the reference run"

@@ -5,7 +5,7 @@
 //! the full pipeline is byte-for-byte deterministic, and the assembled
 //! *content* does not depend on the worker count (only IDs/orientations may).
 
-use ppa_assembler::{assemble, Assembly, AssemblyConfig, LabelingAlgorithm};
+use ppa_assembler::{try_assemble, Assembly, AssemblyConfig, LabelingAlgorithm};
 use ppa_readsim::{GenomeConfig, ReadSimConfig};
 use ppa_seq::ReadSet;
 
@@ -75,10 +75,10 @@ fn pipeline_is_byte_identical_across_runs() {
         LabelingAlgorithm::ListRanking,
         LabelingAlgorithm::SimplifiedSV,
     ] {
-        let first = assemble(&reads, &config(4, labeling));
+        let first = try_assemble(&reads, &config(4, labeling)).expect("assembly succeeds");
         assert!(!first.contigs.is_empty());
         for _ in 0..2 {
-            let again = assemble(&reads, &config(4, labeling));
+            let again = try_assemble(&reads, &config(4, labeling)).expect("assembly succeeds");
             assert_eq!(
                 fingerprint(&first),
                 fingerprint(&again),
@@ -91,9 +91,11 @@ fn pipeline_is_byte_identical_across_runs() {
 #[test]
 fn pipeline_content_is_worker_count_independent() {
     let reads = simulated_reads(83);
-    let reference = assemble(&reads, &config(1, LabelingAlgorithm::ListRanking));
+    let reference = try_assemble(&reads, &config(1, LabelingAlgorithm::ListRanking))
+        .expect("assembly succeeds");
     for workers in [2usize, 3, 7] {
-        let other = assemble(&reads, &config(workers, LabelingAlgorithm::ListRanking));
+        let other = try_assemble(&reads, &config(workers, LabelingAlgorithm::ListRanking))
+            .expect("assembly succeeds");
         assert_eq!(
             canonical_multiset(&reference),
             canonical_multiset(&other),
@@ -110,9 +112,9 @@ fn reduce_groups_arrive_ascending_by_key_within_each_worker() {
     // path with several pre-sorted source buffers is exactly what a multi-map,
     // multi-reduce pass exercises.)
     let inputs: Vec<u64> = (0..10_000).rev().collect();
-    let (per_worker, _) = ppa_pregel::mapreduce::map_reduce_partitioned(
+    let (per_worker, _) = ppa_pregel::mapreduce::map_reduce(
+        &ppa_pregel::ExecCtx::new(5),
         inputs,
-        5,
         |x: u64, out: &mut ppa_pregel::mapreduce::Emitter<'_, u64, u64>| out.emit(x % 701, x),
         |_w: usize, k: &u64, _vs: &mut [u64], out: &mut Vec<u64>| out.push(*k),
     );

@@ -1,6 +1,6 @@
 //! End-to-end integration tests: simulate → assemble → assess, across crates.
 
-use ppa_assembler::{assemble, AssemblyConfig, LabelingAlgorithm};
+use ppa_assembler::{try_assemble, AssemblyConfig, LabelingAlgorithm};
 use ppa_quality::{AlignmentConfig, QuastReport};
 use ppa_readsim::{preset_by_name, GenomeConfig, ReadSimConfig};
 
@@ -23,7 +23,7 @@ fn error_free_repeat_free_genome_reconstructs_almost_completely() {
     }
     .generate();
     let reads = ReadSimConfig::error_free(100, 30.0).simulate(&reference);
-    let assembly = assemble(&reads, &assembly_config(31, 4));
+    let assembly = try_assemble(&reads, &assembly_config(31, 4)).expect("assembly succeeds");
     let contigs: Vec<_> = assembly
         .contigs
         .iter()
@@ -44,7 +44,8 @@ fn error_free_repeat_free_genome_reconstructs_almost_completely() {
 #[test]
 fn noisy_genome_with_repeats_assembles_with_good_quality() {
     let dataset = preset_by_name("sim-hc2").unwrap().scaled(0.1).generate();
-    let assembly = assemble(&dataset.reads, &assembly_config(25, 4));
+    let assembly =
+        try_assemble(&dataset.reads, &assembly_config(25, 4)).expect("assembly succeeds");
     let contigs: Vec<_> = assembly
         .contigs
         .iter()
@@ -71,20 +72,22 @@ fn noisy_genome_with_repeats_assembles_with_good_quality() {
 #[test]
 fn lr_and_sv_workflows_agree_end_to_end() {
     let dataset = preset_by_name("sim-hcx").unwrap().scaled(0.03).generate();
-    let lr = assemble(
+    let lr = try_assemble(
         &dataset.reads,
         &AssemblyConfig {
             labeling: LabelingAlgorithm::ListRanking,
             ..assembly_config(25, 4)
         },
-    );
-    let sv = assemble(
+    )
+    .expect("assembly succeeds");
+    let sv = try_assemble(
         &dataset.reads,
         &AssemblyConfig {
             labeling: LabelingAlgorithm::SimplifiedSV,
             ..assembly_config(25, 4)
         },
-    );
+    )
+    .expect("assembly succeeds");
     let mut lr_lengths: Vec<usize> = lr.contigs.iter().map(|c| c.len()).collect();
     let mut sv_lengths: Vec<usize> = sv.contigs.iter().map(|c| c.len()).collect();
     lr_lengths.sort_unstable();
@@ -117,8 +120,8 @@ fn worker_count_does_not_change_the_assembly() {
         ..Default::default()
     }
     .simulate(&reference);
-    let single = assemble(&reads, &assembly_config(25, 1));
-    let many = assemble(&reads, &assembly_config(25, 8));
+    let single = try_assemble(&reads, &assembly_config(25, 1)).expect("assembly succeeds");
+    let many = try_assemble(&reads, &assembly_config(25, 8)).expect("assembly succeeds");
     let mut a: Vec<String> = single
         .contigs
         .iter()
@@ -155,7 +158,8 @@ fn circular_genome_assembles_via_cycle_fallback() {
             config: linear.config.clone(),
             repeat_positions: vec![],
         });
-    let assembly = assemble(&circular_reads, &assembly_config(31, 4));
+    let assembly =
+        try_assemble(&circular_reads, &assembly_config(31, 4)).expect("assembly succeeds");
     assert!(!assembly.contigs.is_empty());
     assert!(assembly.largest_contig() >= 4_500);
 }

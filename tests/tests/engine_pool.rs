@@ -3,12 +3,12 @@
 //! byte-identical results to per-operation fresh pools, and a shared
 //! `ExecCtx` must be reusable across whole assemblies.
 
-use ppa_assembler::ops::bubble::{filter_bubbles, filter_bubbles_on, remove_pruned, BubbleConfig};
-use ppa_assembler::ops::construct::{build_dbg, build_dbg_on, ConstructConfig};
-use ppa_assembler::ops::label::{label_contigs_lr, label_contigs_lr_on};
-use ppa_assembler::ops::merge::{merge_contigs, merge_contigs_on, MergeConfig};
-use ppa_assembler::ops::tip::{remove_tips, remove_tips_on, TipConfig};
-use ppa_assembler::{assemble, AsmNode, Assembly, AssemblyConfig};
+use ppa_assembler::ops::bubble::{filter_bubbles, remove_pruned, BubbleConfig};
+use ppa_assembler::ops::construct::{build_dbg, ConstructConfig};
+use ppa_assembler::ops::label::label_contigs_lr;
+use ppa_assembler::ops::merge::{merge_contigs, MergeConfig};
+use ppa_assembler::ops::tip::{remove_tips, TipConfig};
+use ppa_assembler::{try_assemble, AsmNode, Assembly, AssemblyConfig};
 use ppa_pregel::ExecCtx;
 use ppa_readsim::{GenomeConfig, ReadSimConfig};
 use ppa_seq::ReadSet;
@@ -77,32 +77,22 @@ fn five_ops(reads: &ReadSet, shared: Option<&ExecCtx>) -> Vec<(u64, u32, String)
         k: K,
         tip_length_threshold: 80,
     };
+    // The shared context, or a fresh pool for every operation.
+    let ctx = || shared.cloned().unwrap_or_else(|| ExecCtx::new(WORKERS));
 
     // ① DBG construction.
-    let outcome = match shared {
-        Some(ctx) => build_dbg_on(ctx, reads, &construct_cfg),
-        None => build_dbg(reads, &construct_cfg, WORKERS),
-    };
+    let outcome = build_dbg(&ctx(), reads, &construct_cfg);
     let nodes: Vec<AsmNode> = outcome.into_nodes();
 
     // ② contig labeling.
-    let label = match shared {
-        Some(ctx) => label_contigs_lr_on(ctx, &nodes),
-        None => label_contigs_lr(&nodes, WORKERS),
-    };
+    let label = label_contigs_lr(&ctx(), &nodes);
 
     // ③ contig merging.
-    let merged = match shared {
-        Some(ctx) => merge_contigs_on(ctx, &nodes, &label.labels, &merge_cfg),
-        None => merge_contigs(&nodes, &label.labels, &merge_cfg, WORKERS),
-    };
+    let merged = merge_contigs(&ctx(), &nodes, &label.labels, &merge_cfg);
     let mut contigs = merged.contigs;
 
     // ④ bubble filtering.
-    let bubbles = match shared {
-        Some(ctx) => filter_bubbles_on(ctx, &contigs, &bubble_cfg),
-        None => filter_bubbles(&contigs, &bubble_cfg, WORKERS),
-    };
+    let bubbles = filter_bubbles(&ctx(), &contigs, &bubble_cfg);
     remove_pruned(&mut contigs, &bubbles.pruned);
 
     // ⑤ tip removing.
@@ -111,10 +101,7 @@ fn five_ops(reads: &ReadSet, shared: Option<&ExecCtx>) -> Vec<(u64, u32, String)
         .into_iter()
         .filter(|n| ambiguous.contains(&n.id))
         .collect();
-    let tips = match shared {
-        Some(ctx) => remove_tips_on(ctx, &ambiguous_kmers, &contigs, &tip_cfg),
-        None => remove_tips(&ambiguous_kmers, &contigs, &tip_cfg, WORKERS),
-    };
+    let tips = remove_tips(&ctx(), &ambiguous_kmers, &contigs, &tip_cfg);
 
     let survivors: Vec<AsmNode> = tips
         .kmers
@@ -152,15 +139,16 @@ fn shared_ctx_assembly_is_byte_identical_to_private_ctx_assembly() {
         workers: WORKERS,
         ..Default::default()
     };
-    let private = assemble(&reads, &base);
+    let private = try_assemble(&reads, &base).expect("assembly succeeds");
     let ctx = ExecCtx::new(WORKERS);
-    let with_shared = assemble(
+    let with_shared = try_assemble(
         &reads,
         &AssemblyConfig {
             exec: Some(ctx.clone()),
             ..base.clone()
         },
-    );
+    )
+    .expect("assembly succeeds");
     assert!(!private.contigs.is_empty());
     assert_eq!(
         assembly_fingerprint(&private),
@@ -169,13 +157,14 @@ fn shared_ctx_assembly_is_byte_identical_to_private_ctx_assembly() {
 
     // The same context is reusable for a second, identical assembly — parked
     // shuffle planes must not leak state between runs.
-    let again = assemble(
+    let again = try_assemble(
         &reads,
         &AssemblyConfig {
             exec: Some(ctx),
             ..base
         },
-    );
+    )
+    .expect("assembly succeeds");
     assert_eq!(
         assembly_fingerprint(&with_shared),
         assembly_fingerprint(&again)
@@ -187,7 +176,7 @@ fn zero_workers_still_assembles_on_a_one_thread_pool() {
     // `workers: 0` has always been clamped to one worker; the engine's
     // ctx-vs-config validation must preserve that instead of panicking.
     let reads = simulated_reads();
-    let assembly = assemble(
+    let assembly = try_assemble(
         &reads,
         &AssemblyConfig {
             k: K,
@@ -195,7 +184,8 @@ fn zero_workers_still_assembles_on_a_one_thread_pool() {
             workers: 0,
             ..Default::default()
         },
-    );
+    )
+    .expect("assembly succeeds");
     assert!(!assembly.contigs.is_empty());
 }
 
@@ -203,7 +193,7 @@ fn zero_workers_still_assembles_on_a_one_thread_pool() {
 fn per_superstep_metrics_report_phase_times_and_utilization() {
     let reads = simulated_reads();
     let ctx = ExecCtx::new(WORKERS);
-    let outcome = build_dbg_on(
+    let outcome = build_dbg(
         &ctx,
         &reads,
         &ConstructConfig {
@@ -213,7 +203,7 @@ fn per_superstep_metrics_report_phase_times_and_utilization() {
         },
     );
     let nodes = outcome.into_nodes();
-    let label = label_contigs_lr_on(&ctx, &nodes);
+    let label = label_contigs_lr(&ctx, &nodes);
     let per_step = &label.metrics.per_superstep;
     assert!(!per_step.is_empty(), "labeling must track supersteps");
     for step in per_step {

@@ -71,7 +71,9 @@ impl Drop for TmpDir {
 /// The uninterrupted reference run every crash scenario must reproduce.
 fn baseline<'r>(reads: &'r ReadSet, ctx: &ExecCtx) -> GraphState<'r> {
     let mut state = GraphState::new(reads);
-    Pipeline::paper_workflow(&config()).run(&mut state, ctx);
+    Pipeline::paper_workflow(&config())
+        .try_run(&mut state, ctx)
+        .expect("the pipeline runs");
     assert!(!state.output.is_empty(), "the baseline must assemble");
     state
 }
@@ -240,7 +242,8 @@ fn damaged_or_foreign_snapshots_error_without_panicking() {
     let mut state = GraphState::new(&reads);
     Pipeline::paper_workflow(&config())
         .checkpoint_to(&tmp.0, CheckpointPolicy::EveryStage)
-        .run(&mut state, &ctx);
+        .try_run(&mut state, &ctx)
+        .expect("the pipeline runs");
     let ckpt = checkpoint::latest(&tmp.0).unwrap().expect("a snapshot");
     let section = ckpt.join("nodes.col");
     let pristine = std::fs::read(&section).unwrap();
@@ -363,7 +366,9 @@ fn a_pool_that_propagated_a_panic_stays_reusable_and_deterministic() {
     );
 
     let mut reused = GraphState::new(&reads);
-    Pipeline::paper_workflow(&config()).run(&mut reused, &ctx);
+    Pipeline::paper_workflow(&config())
+        .try_run(&mut reused, &ctx)
+        .expect("the pipeline runs");
     let fresh = baseline(&reads, &ExecCtx::new(WORKERS));
     assert_eq!(
         reused, fresh,

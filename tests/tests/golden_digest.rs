@@ -8,7 +8,7 @@
 //! of silently producing different contigs. If an intended change moves these
 //! digests, re-record them and say why in the change log.
 
-use ppa_assembler::{assemble, Assembly, AssemblyConfig, LabelingAlgorithm};
+use ppa_assembler::{try_assemble, Assembly, AssemblyConfig, LabelingAlgorithm};
 use ppa_pregel::SpillPolicy;
 use ppa_readsim::{GenomeConfig, ReadSimConfig};
 use ppa_seq::ReadSet;
@@ -72,28 +72,35 @@ const GOLDEN_LR_CAPPED: (u64, usize) = (0xeda0_548b_ce6a_67c5, 17);
 
 #[test]
 fn list_ranking_contigs_match_the_golden_digest() {
-    let got = digest(&assemble(
-        &reads(),
-        &config(LabelingAlgorithm::ListRanking, SpillPolicy::Off),
-    ));
+    let got = digest(
+        &try_assemble(
+            &reads(),
+            &config(LabelingAlgorithm::ListRanking, SpillPolicy::Off),
+        )
+        .expect("assembly succeeds"),
+    );
     assert_eq!(got, GOLDEN_LR, "got ({:#018x}, {})", got.0, got.1);
 }
 
 #[test]
 fn sv_contigs_match_the_golden_digest() {
-    let got = digest(&assemble(
-        &reads(),
-        &config(LabelingAlgorithm::SimplifiedSV, SpillPolicy::Off),
-    ));
+    let got = digest(
+        &try_assemble(
+            &reads(),
+            &config(LabelingAlgorithm::SimplifiedSV, SpillPolicy::Off),
+        )
+        .expect("assembly succeeds"),
+    );
     assert_eq!(got, GOLDEN_SV, "got ({:#018x}, {})", got.0, got.1);
 }
 
 #[test]
 fn capped_list_ranking_contigs_match_the_golden_digest() {
-    let assembly = assemble(
+    let assembly = try_assemble(
         &reads(),
         &config(LabelingAlgorithm::ListRanking, SpillPolicy::At(16 * 1024)),
-    );
+    )
+    .expect("assembly succeeds");
     assert!(
         assembly.stats.label_round1.spilled_bytes > 0,
         "the cap must force the labeling job to spill"

@@ -5,7 +5,7 @@
 //! active resumes from the last checkpoint byte for byte.
 
 use ppa_assembler::pipeline::{CheckpointPolicy, GraphState, Pipeline, PipelineError};
-use ppa_assembler::{assemble, Assembly, AssemblyConfig};
+use ppa_assembler::{try_assemble, Assembly, AssemblyConfig};
 use ppa_pregel::{ExecCtx, Fault, FaultPlan, SpillPolicy};
 use ppa_readsim::{GenomeConfig, ReadSimConfig};
 use ppa_seq::ReadSet;
@@ -70,7 +70,8 @@ fn spilled_bytes(assembly: &Assembly) -> u64 {
 fn spilled_contigs_are_byte_identical_across_caps_and_worker_counts() {
     let reads = simulated_reads();
     for workers in [2, 4] {
-        let resident = assemble(&reads, &config(workers, SpillPolicy::Off));
+        let resident =
+            try_assemble(&reads, &config(workers, SpillPolicy::Off)).expect("assembly succeeds");
         assert!(!resident.contigs.is_empty());
         assert_eq!(
             spilled_bytes(&resident),
@@ -82,7 +83,8 @@ fn spilled_contigs_are_byte_identical_across_caps_and_worker_counts() {
         // Sweep the cap across an order of magnitude; the smallest cap is far
         // below the working set, so it must actually exercise the disk path.
         for (cap, must_spill) in [(256 * 1024, false), (64 * 1024, true), (16 * 1024, true)] {
-            let spilled = assemble(&reads, &config(workers, SpillPolicy::At(cap)));
+            let spilled = try_assemble(&reads, &config(workers, SpillPolicy::At(cap)))
+                .expect("assembly succeeds");
             assert_eq!(
                 fingerprint(&spilled),
                 reference,
@@ -109,9 +111,10 @@ fn a_shared_context_does_not_leak_the_previous_runs_spill_policy() {
 
     // A tightly capped run on the shared context, then a resident run on the
     // same context: the second config's `Off` must win (and vice versa).
-    let spilled = assemble(&reads, &shared(SpillPolicy::At(16 * 1024)));
+    let spilled =
+        try_assemble(&reads, &shared(SpillPolicy::At(16 * 1024))).expect("assembly succeeds");
     assert!(spilled_bytes(&spilled) > 0);
-    let resident = assemble(&reads, &shared(SpillPolicy::Off));
+    let resident = try_assemble(&reads, &shared(SpillPolicy::Off)).expect("assembly succeeds");
     assert_eq!(spilled_bytes(&resident), 0);
     assert_eq!(fingerprint(&spilled), fingerprint(&resident));
 }
@@ -139,13 +142,15 @@ fn a_crash_with_active_spill_files_resumes_byte_identically() {
     let workers = 2;
     let ctx = ExecCtx::new(workers);
     // The pipeline API takes the context directly, so the spill policy is
-    // installed by hand — `workflow::assemble` does the same internally.
+    // installed by hand — `workflow::try_assemble` does the same internally.
     ctx.set_spill(SpillPolicy::At(16 * 1024));
     let cfg = config(workers, SpillPolicy::At(16 * 1024));
 
     // Uninterrupted spilling reference.
     let mut expected = GraphState::new(&reads);
-    Pipeline::paper_workflow(&cfg).run(&mut expected, &ctx);
+    Pipeline::paper_workflow(&cfg)
+        .try_run(&mut expected, &ctx)
+        .expect("the pipeline runs");
     assert!(!expected.output.is_empty());
 
     // Crash a worker at a superstep barrier *inside* the first labeling job,

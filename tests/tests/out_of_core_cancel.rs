@@ -6,7 +6,7 @@
 //! temp directory for this process's `ppa-spill-<pid>-*` job directories
 //! cannot race other spilling tests.
 
-use ppa_assembler::{assemble, assemble_with_control, AssemblyConfig, PipelineError};
+use ppa_assembler::{assemble_with_control, try_assemble, AssemblyConfig, PipelineError};
 use ppa_pregel::{CancelReason, ExecCtx, JobControl, SpillPolicy};
 use ppa_readsim::{GenomeConfig, ReadSimConfig};
 use ppa_seq::ReadSet;
@@ -90,7 +90,7 @@ fn a_cancelled_spilling_run_removes_its_temp_files() {
 
     // The surviving pool completes an uncontrolled spilling run — and leaves
     // the temp dir clean again afterwards.
-    let done = assemble(&reads, &config);
+    let done = try_assemble(&reads, &config).expect("assembly succeeds");
     assert!(!done.contigs.is_empty());
     assert!(
         done.stats.construct.phase1.spilled_bytes + done.stats.label_round1.spilled_bytes > 0,

@@ -13,7 +13,7 @@ use ppa_assembler::pipeline::{
     RemoveTips, StageReport,
 };
 use ppa_assembler::stats::WorkflowStats;
-use ppa_assembler::{assemble, Assembly, AssemblyConfig, Contig, LabelingAlgorithm};
+use ppa_assembler::{try_assemble, Assembly, AssemblyConfig, Contig, LabelingAlgorithm};
 use ppa_pregel::ExecCtx;
 use ppa_readsim::{GenomeConfig, ReadSimConfig};
 use ppa_seq::ReadSet;
@@ -101,13 +101,14 @@ fn seed_scenarios() -> Vec<(ReadSet, AssemblyConfig)> {
 #[test]
 fn assemble_is_byte_identical_to_hand_built_paper_workflow() {
     for (i, (reads, config)) in seed_scenarios().into_iter().enumerate() {
-        let via_assemble = assemble(&reads, &config);
+        let via_assemble = try_assemble(&reads, &config).expect("assembly succeeds");
 
         let mut stats = WorkflowStats::default();
         let mut state = GraphState::new(&reads);
         Pipeline::paper_workflow(&config)
             .observe(&mut stats)
-            .run(&mut state, &ExecCtx::new(config.workers));
+            .try_run(&mut state, &ExecCtx::new(config.workers))
+            .expect("the pipeline runs");
 
         assert!(
             !via_assemble.contigs.is_empty(),
@@ -116,7 +117,7 @@ fn assemble_is_byte_identical_to_hand_built_paper_workflow() {
         assert_eq!(
             fingerprint_assembly(&via_assemble),
             fingerprint_output(&state.output),
-            "scenario {i}: assemble() and the hand-built paper workflow must \
+            "scenario {i}: try_assemble() and the hand-built paper workflow must \
              produce byte-identical contigs"
         );
 
@@ -188,11 +189,15 @@ fn explicit_stage_list_matches_the_preset() {
         .then(Merge::new(merge))
         .then(FilterLength::new(0));
     let mut state_hand = GraphState::new(&reads);
-    by_hand.run(&mut state_hand, &ExecCtx::new(config.workers));
+    by_hand
+        .try_run(&mut state_hand, &ExecCtx::new(config.workers))
+        .expect("the pipeline runs");
 
     let mut preset = Pipeline::paper_workflow(&config);
     let mut state_preset = GraphState::new(&reads);
-    preset.run(&mut state_preset, &ExecCtx::new(config.workers));
+    preset
+        .try_run(&mut state_preset, &ExecCtx::new(config.workers))
+        .expect("the pipeline runs");
 
     assert!(!state_preset.output.is_empty());
     assert_eq!(
@@ -240,7 +245,9 @@ fn observer_protocol_pairs_stages_and_times_them() {
     let mut recorder = Recorder::default();
     let mut pipeline = Pipeline::paper_workflow(&config).observe(&mut recorder);
     let mut state = GraphState::new(&reads);
-    let reports = pipeline.run(&mut state, &ExecCtx::new(config.workers));
+    let reports = pipeline
+        .try_run(&mut state, &ExecCtx::new(config.workers))
+        .expect("the pipeline runs");
 
     // Stage names of the paper workflow, in order.
     let expected = [

@@ -8,7 +8,7 @@
 //! `ppa_seq`; this test covers the cross-crate composition on a real
 //! workload.)
 
-use ppa_assembler::{assemble, AssemblyConfig};
+use ppa_assembler::{try_assemble, AssemblyConfig};
 use ppa_readsim::preset_by_name;
 
 fn contig_fingerprint(workers: usize) -> (Vec<String>, usize, usize) {
@@ -19,7 +19,7 @@ fn contig_fingerprint(workers: usize) -> (Vec<String>, usize, usize) {
         workers,
         ..Default::default()
     };
-    let assembly = assemble(&dataset.reads, &config);
+    let assembly = try_assemble(&dataset.reads, &config).expect("assembly succeeds");
     let mut contigs: Vec<String> = assembly
         .contigs
         .iter()

@@ -22,8 +22,8 @@ use ppa_assembler::ops::construct::ConstructConfig;
 use ppa_assembler::ops::merge::MergeConfig;
 use ppa_assembler::ops::tip::{remove_tips, TipConfig};
 use ppa_assembler::pipeline::{Construct, Label, Merge};
-use ppa_assembler::{assemble, AssemblyConfig, GraphState, Pipeline};
-use ppa_pregel::{Context, ExecCtx, NoAggregate, PregelConfig, VertexProgram};
+use ppa_assembler::{try_assemble, AssemblyConfig, GraphState, Pipeline};
+use ppa_pregel::{Context, ExecCtx, NoAggregate, VertexProgram, VertexSet};
 use ppa_readsim::{GenomeConfig, ReadSimConfig};
 use ppa_seq::ReadSet;
 use proptest::prelude::*;
@@ -77,9 +77,8 @@ proptest! {
             }
         }
         let program = Planned { plan };
-        let config = PregelConfig::with_workers(workers).exec_ctx(ExecCtx::new(workers));
-        let (set, metrics) =
-            ppa_pregel::run_from_pairs(&program, &config, (0..n).map(|i| (i, i)));
+        let mut set = VertexSet::from_pairs(workers, (0..n).map(|i| (i, i)));
+        let metrics = ppa_pregel::run(&ExecCtx::new(workers), &program, &mut set, 10_000);
         let mut got = set.into_pairs();
         got.sort_unstable();
         prop_assert_eq!(got, expected);
@@ -135,7 +134,8 @@ fn remove_tips_is_identical_across_worker_counts() {
             k: 21,
             tip_length_threshold: 0,
         }))
-        .run(&mut state, &ExecCtx::new(2));
+        .try_run(&mut state, &ExecCtx::new(2))
+        .expect("the pipeline runs");
     assert!(
         !state.ambiguous_kmers.is_empty(),
         "error-heavy reads must create branches"
@@ -146,7 +146,12 @@ fn remove_tips_is_identical_across_worker_counts() {
         tip_length_threshold: 80,
     };
     let fingerprint = |workers: usize| {
-        let out = remove_tips(&state.ambiguous_kmers, &state.contigs, &config, workers);
+        let out = remove_tips(
+            &ExecCtx::new(workers),
+            &state.ambiguous_kmers,
+            &state.contigs,
+            &config,
+        );
         let mut kmers: Vec<u64> = out.kmers.iter().map(|n| n.id).collect();
         let mut contigs: Vec<(u64, usize)> = out.contigs.iter().map(|c| (c.id, c.len())).collect();
         kmers.sort_unstable();
@@ -172,7 +177,7 @@ fn remove_tips_is_identical_across_worker_counts() {
 fn removal_heavy_assembly_is_worker_count_independent() {
     let reads = error_heavy_reads(41);
     let assembly_for = |workers: usize| {
-        assemble(
+        try_assemble(
             &reads,
             &AssemblyConfig {
                 k: 21,
@@ -183,6 +188,7 @@ fn removal_heavy_assembly_is_worker_count_independent() {
                 ..Default::default()
             },
         )
+        .expect("assembly succeeds")
     };
 
     let reference = assembly_for(1);
