@@ -1,9 +1,24 @@
 //! Shared harness utilities for regenerating the paper's tables and figures.
 //!
-//! Every binary in `src/bin/` corresponds to one table or figure of the
-//! paper's evaluation (see DESIGN.md §4 for the index); this library holds the
-//! pieces they share: command-line parsing, dataset generation at a chosen
-//! scale, and fixed-width table printing.
+//! Each binary in `src/bin/` regenerates one table, figure or claim of the
+//! paper's evaluation, or one committed `BENCH_*.json` snapshot:
+//!
+//! | bin | regenerates |
+//! |---|---|
+//! | `table1_datasets` | Table I, the dataset inventory |
+//! | `table23_lr_vs_sv` | Tables II and III, list ranking vs S-V labeling |
+//! | `table4_quality` | Table IV, quality against a reference |
+//! | `table5_quality` | Table V, reference-free quality |
+//! | `fig12_scaling` | Figure 12, assembly time vs worker count |
+//! | `ablation_chaining` | Section II's in-memory job-chaining claim |
+//! | `ablation_round2` | Section V's second-round merging and DBG-shrink claims |
+//! | `checkpoint` | `BENCH_checkpoint.json` |
+//! | `cancellation_bench` | `BENCH_cancellation.json` |
+//! | `out_of_core` | `BENCH_out_of_core.json` |
+//! | `simd_kernels` | `BENCH_simd.json` |
+//!
+//! This library holds the pieces they share: command-line parsing, dataset
+//! generation at a chosen scale, and fixed-width table printing.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -17,10 +17,12 @@ const UNSAFE_ALLOWLIST: &[&str] = &[
     "crates/pregel/src/radix.rs",
 ];
 
-/// The codec files that must never panic on malformed bytes.
+/// The codec files that must never panic on malformed bytes (the k-way
+/// merge reads spill runs).
 const CODEC_FILES: &[&str] = &[
     "crates/core/src/checkpoint.rs",
     "crates/pregel/src/chain.rs",
+    "crates/pregel/src/kmerge.rs",
     "crates/pregel/src/spill.rs",
     "shims/serde/src/lib.rs",
 ];
@@ -50,6 +52,24 @@ const POOL_SCOPES: &[&str] = &["crates/pregel/src/", "crates/core/src/"];
 /// The one library file allowed to build a pool: `try_assemble` builds the
 /// run's context when `AssemblyConfig::exec` is unset.
 const POOL_CONSTRUCTOR_FILE: &str = "crates/core/src/workflow.rs";
+
+/// Every file a rule table names. A renamed file would silently drop out of
+/// its rule, so the workspace self-check pins each one's existence.
+pub fn named_files() -> Vec<&'static str> {
+    [
+        UNSAFE_ALLOWLIST,
+        CODEC_FILES,
+        THREAD_ALLOWLIST,
+        &[POOL_CONSTRUCTOR_FILE],
+    ]
+    .concat()
+}
+
+/// Every path prefix a rule scopes itself to; the self-check pins that each
+/// still matches a file.
+pub fn named_scopes() -> Vec<&'static str> {
+    [SIPHASH_SCOPES, POOL_SCOPES, &[OPS_DIR]].concat()
+}
 
 /// Identifiers that legitimately precede a `[` without being an indexable
 /// expression (`let [a, b] = ..`, `for x in [..]`, `return [..]`, ...).

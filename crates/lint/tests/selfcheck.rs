@@ -20,20 +20,18 @@ fn real_workspace_is_clean() {
         "workspace walk found suspiciously few files: {}",
         files.len()
     );
-    // The rules' allowlists name real files; if one is renamed the rule
-    // silently stops covering it, so pin their existence here.
-    for pinned in [
-        "crates/pregel/src/kernels.rs",
-        "crates/pregel/src/engine.rs",
-        "crates/pregel/src/radix.rs",
-        "crates/core/src/checkpoint.rs",
-        "shims/serde/src/lib.rs",
-        "crates/core/src/ops/label.rs",
-        "crates/core/src/workflow.rs",
-    ] {
+    // The rule tables name real files and directories; if one is renamed
+    // the rule silently stops covering it, so pin every entry here.
+    for pinned in ppa_lint::rules::named_files() {
         assert!(
             files.iter().any(|(_, rel)| rel == pinned),
-            "allowlisted file {pinned} no longer exists; update the rule tables"
+            "rule table names {pinned}, which no longer exists; update the table"
+        );
+    }
+    for scope in ppa_lint::rules::named_scopes() {
+        assert!(
+            files.iter().any(|(_, rel)| rel.starts_with(scope)),
+            "rule scope {scope} matches no file; update the table"
         );
     }
 

@@ -55,22 +55,14 @@ use std::time::Instant;
 /// A type-erased job: runs once on a pool worker.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// A typed engine failure, produced by [`WorkerPool::try_run_per_worker`]
-/// instead of re-raising a worker panic. The phase still completed — every
-/// job ran to its end or panicked, the completion latch drained — so the pool
-/// is clean and immediately reusable for the next job. This is the
-/// cancellation seam a job server needs: a failed stage unwinds as a value,
-/// not a process abort.
+/// A typed engine failure: a cancellation or a spill failure, raised on the
+/// coordinator thread between phases as a panic payload that the pipeline's
+/// stage catch turns back into a typed error. The pool is clean and
+/// immediately reusable for the next job either way. (A worker panic is not
+/// an `EngineError`: [`WorkerPool::run_per_worker`] re-raises its payload,
+/// and the same stage catch reports it.)
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
-    /// A worker job panicked during the phase.
-    WorkerPanic {
-        /// Index of the first worker whose job panicked.
-        worker: usize,
-        /// The panic message, if the payload was a string (panics almost
-        /// always are); a placeholder otherwise.
-        message: String,
-    },
     /// The job's [`JobControl`] tripped at a cooperative poll. Raised on the
     /// **coordinator** thread at a BSP barrier (never inside a pool worker),
     /// so the store is barrier-consistent and the pool stays reusable.
@@ -92,9 +84,6 @@ pub enum EngineError {
 impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            EngineError::WorkerPanic { worker, message } => {
-                write!(f, "worker {worker} panicked: {message}")
-            }
             EngineError::Cancelled { reason, superstep } => {
                 write!(f, "job cancelled at superstep {superstep}: {reason}")
             }
@@ -126,8 +115,8 @@ struct PoolState {
     slots: Vec<Option<Job>>,
     /// Jobs dispatched but not yet finished in the current phase.
     remaining: usize,
-    /// First panic observed in the current phase: (worker index, payload).
-    panic: Option<(usize, Box<dyn Any + Send>)>,
+    /// Payload of the first panic observed in the current phase.
+    panic: Option<Box<dyn Any + Send>>,
     /// Set once, on drop: workers exit instead of parking.
     shutdown: bool,
 }
@@ -218,43 +207,6 @@ impl WorkerPool {
         R: Send,
         F: Fn(usize, T) -> R + Sync,
     {
-        match self.run_per_worker_inner(inputs, f) {
-            Ok(results) => results,
-            Err((_, payload)) => resume_unwind(payload),
-        }
-    }
-
-    /// Like [`run_per_worker`](WorkerPool::run_per_worker), but converts a
-    /// worker panic into a typed [`EngineError`] instead of re-raising it.
-    /// The phase completes either way (see the dispatch contract), so after
-    /// an `Err` the pool is clean and the next job runs as if on a fresh
-    /// pool. Callers that need crash-safe stage execution (the pipeline's
-    /// `try_run`) use this entry point.
-    pub fn try_run_per_worker<T, R, F>(&self, inputs: Vec<T>, f: F) -> Result<Vec<R>, EngineError>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, T) -> R + Sync,
-    {
-        self.run_per_worker_inner(inputs, f)
-            .map_err(|(worker, payload)| EngineError::WorkerPanic {
-                worker,
-                message: panic_message(payload.as_ref()),
-            })
-    }
-
-    /// Shared core of the two `run_per_worker` entry points: `Err` carries
-    /// the first panicking worker's index and payload.
-    fn run_per_worker_inner<T, R, F>(
-        &self,
-        inputs: Vec<T>,
-        f: F,
-    ) -> Result<Vec<R>, (usize, Box<dyn Any + Send>)>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, T) -> R + Sync,
-    {
         let n = inputs.len();
         assert!(
             n <= self.workers(),
@@ -276,21 +228,20 @@ impl WorkerPool {
                 .collect();
             self.dispatch(jobs)
         };
-        if let Some(panic) = panic {
-            return Err(panic);
+        if let Some(payload) = panic {
+            resume_unwind(payload);
         }
-        Ok(results
+        results
             .into_iter()
             .map(|r| r.expect("pool job completed without a result"))
-            .collect())
+            .collect()
     }
 
     /// Hands one job to each of the first `jobs.len()` workers and blocks
-    /// until all of them finished, returning the first panic (worker index +
-    /// payload) if any job panicked. The pool's state is fully reset before
-    /// returning — `remaining` is zero and the panic slot drained — so the
-    /// caller decides whether to re-raise or to convert the panic into a
-    /// typed error, and the next dispatch starts clean either way.
+    /// until all of them finished, returning the first panic payload if any
+    /// job panicked. The pool's state is fully reset before returning —
+    /// `remaining` is zero and the panic slot drained — so the caller can
+    /// re-raise it and the next dispatch still starts clean.
     ///
     /// # Safety of the lifetime erasure
     ///
@@ -299,10 +250,7 @@ impl WorkerPool {
     /// (not even by unwinding) until every job has run to completion or
     /// panicked — the completion latch counts panicked jobs too — so no
     /// borrow outlives its referent.
-    fn dispatch(
-        &self,
-        jobs: Vec<Box<dyn FnOnce() + Send + '_>>,
-    ) -> Option<(usize, Box<dyn Any + Send>)> {
+    fn dispatch(&self, jobs: Vec<Box<dyn FnOnce() + Send + '_>>) -> Option<Box<dyn Any + Send>> {
         if jobs.is_empty() {
             return None;
         }
@@ -387,7 +335,7 @@ fn worker_main(shared: &PoolShared, w: usize) {
         let mut st = lock(&shared.state);
         if let Err(payload) = outcome {
             if st.panic.is_none() {
-                st.panic = Some((w, payload));
+                st.panic = Some(payload);
             }
         }
         st.remaining -= 1;
@@ -678,47 +626,21 @@ mod tests {
     }
 
     #[test]
-    fn try_run_per_worker_returns_typed_error_and_pool_stays_clean() {
-        let pool = WorkerPool::new(3);
-        let err = pool
-            .try_run_per_worker(vec![0u32, 1, 2], |_, x| {
-                if x == 2 {
-                    panic!("boom on {x}");
-                }
-                x * 10
-            })
-            .unwrap_err();
-        assert_eq!(
-            err,
-            EngineError::WorkerPanic {
-                worker: 2,
-                message: "boom on 2".into(),
-            }
-        );
-        assert!(err.to_string().contains("worker 2"));
-        // The pool is immediately reusable, both entry points.
-        assert_eq!(
-            pool.try_run_per_worker(vec![1u32, 2, 3], |_, x| x + 1),
-            Ok(vec![2, 3, 4])
-        );
-        assert_eq!(pool.run_per_worker(vec![7u32], |_, x| x), vec![7]);
-    }
-
-    #[test]
     fn worker_panic_reports_first_panicking_worker() {
         let pool = WorkerPool::new(2);
-        let err = pool
-            .try_run_per_worker(vec![(), ()], |w, ()| {
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            pool.run_per_worker(vec![(), ()], |w, ()| {
                 panic!("worker {w} dies");
             })
-            .unwrap_err();
-        match err {
-            EngineError::WorkerPanic { worker, message } => {
-                assert!(worker < 2);
-                assert!(message.contains(&format!("worker {worker} dies")));
-            }
-            other => panic!("expected a WorkerPanic, got {other:?}"),
-        }
+        }))
+        .unwrap_err();
+        // Every job panicked; exactly one payload (the first) is re-raised.
+        let message = panic_message(payload.as_ref());
+        assert!(
+            message == "worker 0 dies" || message == "worker 1 dies",
+            "{message}"
+        );
+        assert_eq!(pool.run_per_worker(vec![7u32], |_, x| x), vec![7]);
     }
 
     #[test]

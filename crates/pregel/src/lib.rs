@@ -47,9 +47,11 @@
 //!
 //! * **sorted delivery** — senders append `(destination, payload)` records to
 //!   one flat buffer per destination worker and sort each buffer before the
-//!   hand-off; receivers k-way-merge the pre-sorted buffers (linear, ties
-//!   broken by source worker) and hand every destination its records as a
-//!   contiguous **slice** of a flat array. Every presort runs through
+//!   hand-off; receivers k-way-merge the pre-sorted buffers, plus any runs
+//!   a sender spilled under a cap, through one merge shared by both engines
+//!   (ties broken by source, so a resident shuffle is the spilled one with
+//!   zero runs) and hand every destination its records as a contiguous
+//!   **slice** of a flat array. Every presort runs through
 //!   [`radix`]: a stable LSD radix sort over the packed integer keys
 //!   ([`SortKey`]), ping-ponging through reusable scratch buffers, with a
 //!   stable comparison fallback for keys without a monotone `u64` image.

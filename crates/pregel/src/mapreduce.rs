@@ -9,15 +9,17 @@
 //! processes each group.
 //!
 //! [`map_reduce`] reproduces that pass with one thread per worker. Grouping is
-//! **sort-based**: every reduce worker concatenates the pair buffers addressed
-//! to it into one flat buffer, sorts it by key once, and hands each group to
-//! the reduce UDF as a mutable slice of values carved out of a single flat
-//! value array — there is no per-key `Vec` and no hash map on the reduce path
-//! (this literally is the "sorted and grouped by key" step of the paper's
-//! procedure, and it also makes group order deterministic: ascending by key).
-//! The map-side presort is the stable LSD radix sort of [`crate::radix`]
-//! (packed integer keys take counting passes, everything else a stable
-//! comparison fallback), so equal-key values reach `reduce` in emission
+//! **sort-based**: every map worker presorts the pair buffer it holds for
+//! each reduce worker, every reduce worker k-way-merges the buffers
+//! addressed to it — through the same merge the superstep runner's shuffle
+//! uses — and hands each group to the reduce UDF as a mutable slice of
+//! values carved out of a single flat value array. There is no per-key `Vec`
+//! and no hash map on the reduce path (this literally is the "sorted and
+//! grouped by key" step of the paper's procedure, and it also makes group
+//! order deterministic: ascending by key). The map-side presort is the
+//! stable LSD radix sort of [`crate::radix`] (integer keys take counting
+//! passes, everything else a stable comparison fallback) and the merge
+//! breaks ties by sender, so equal-key values reach `reduce` in emission
 //! order.
 //!
 //! The reduce UDF also receives the index of the worker executing it, and the
@@ -33,24 +35,22 @@
 //!
 //! [`map_reduce_spillable`] is the bounded-memory entry: when the context
 //! carries a [`SpillPolicy`](crate::SpillPolicy) byte cap, each map worker
-//! presorts and writes its buffered pairs out as sorted run files (see
-//! [`crate::spill`]) whenever the buffered estimate crosses
-//! `cap / (4 × workers)`, and each reduce worker streams those runs back in a
-//! k-way merge with the in-RAM remainders. The merge breaks key ties by
-//! ascending source (each source's runs in spill order, its RAM remainder
-//! last), so grouping and per-key value order are byte-identical to the
-//! all-in-RAM pass.
+//! gets the run spiller the superstep runner uses (see [`crate::spill`]),
+//! which presorts and writes its buffered pairs out as sorted run files
+//! whenever the buffered estimate crosses `cap / (4 × workers)`. The reduce
+//! phase is one body either way: each reduce worker k-way-merges its
+//! senders' runs and RAM remainders (each sender's runs in spill order, its
+//! remainder last) through the runner's merge, and a resident pass is that
+//! merge with zero runs — so grouping and per-key value order are
+//! byte-identical to the all-in-RAM pass.
 
 use crate::engine::{EngineError, ExecCtx};
 use crate::fxhash::hash_one;
+use crate::kmerge::{self, Share};
 use crate::radix::SortKey;
-use crate::spill::{
-    codec_of, merge_run_sources, write_run, Codec, DiskRun, MergeSource, RunReader, SpillCodec,
-    SpillDir, SpillError,
-};
+use crate::spill::{codec_of, presort, Codec, RunSpiller, SpillCodec, SpillDir, SpillError};
 use serde::{Deserialize, Serialize};
 use std::hash::Hash;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Sink the map UDF writes its key–value pairs into.
@@ -164,29 +164,6 @@ where
     map_reduce_inner(ctx, inputs, map_fn, reduce_fn, spill)
 }
 
-/// What one map worker hands to the shuffle: its in-RAM remainder buffers,
-/// any run files it spilled (per destination, in spill order), and its spill
-/// counters.
-struct MapSide<K, V> {
-    out: Vec<Vec<(K, V)>>,
-    runs: Vec<Vec<DiskRun>>,
-    spilled_pairs: u64,
-    spilled_bytes: u64,
-    spilled_runs: u64,
-}
-
-/// Spill plumbing resolved at pass entry: the job-scoped temp dir, the
-/// per-worker buffer budget and the pair codecs.
-type SpillSetup<K, V> = Option<(Arc<SpillDir>, usize, Codec<K>, Codec<V>)>;
-
-/// One destination's view of one source worker: that source's sorted on-disk
-/// runs (in spill order) plus its sorted in-RAM remainder.
-type ShuffleSources<K, V> = Vec<(Vec<DiskRun>, Vec<(K, V)>)>;
-
-/// One reduce worker's outcome: its outputs, group count and spill-read
-/// bytes — or the first disk error it hit.
-type ReduceSide<O> = Result<(Vec<O>, u64, u64), SpillError>;
-
 /// Shared body of the resident and spillable passes. `spill` carries the
 /// byte cap and codecs when the caller opted in *and* a policy cap is
 /// installed; `None` runs fully in RAM.
@@ -208,13 +185,10 @@ where
     let workers = ctx.workers();
     let start = Instant::now();
     let input_records = inputs.len() as u64;
-    let spill: SpillSetup<K, V> = spill.map(|(cap, kc, vc)| {
+    let spill = spill.map(|(cap, kc, vc)| {
         let dir =
             SpillDir::create("mr").unwrap_or_else(|e| std::panic::panic_any(EngineError::Spill(e)));
-        // Each map worker may buffer a quarter of its even share of the cap
-        // before writing a run.
-        let budget = ((cap as usize) / (4 * workers)).max(1);
-        (dir, budget, kc, vc)
+        (dir, cap, kc, vc)
     });
 
     // ---- map phase: split inputs into `workers` chunks and map in parallel.
@@ -226,85 +200,60 @@ where
             chunks.push(it.by_ref().take(chunk_size).collect());
         }
     }
-    let mapped: Vec<Result<MapSide<K, V>, SpillError>> =
-        ctx.pool().run_per_worker(chunks, |w, chunk| {
-            let mut out: Vec<Vec<(K, V)>> = (0..workers).map(|_| Vec::new()).collect();
-            let mut runs: Vec<Vec<DiskRun>> = (0..workers).map(|_| Vec::new()).collect();
-            // One radix scratch serves all of this worker's destination
-            // buffers (it cannot be parked in the ExecCtx: `(K, V)` may
-            // borrow non-'static data, which the TypeId-keyed scratch cache
-            // cannot hold).
-            let mut scratch: Vec<(K, V)> = Vec::new();
-            let mut emitted = 0u64;
-            let (mut spilled_pairs, mut spilled_bytes, mut spilled_runs) = (0u64, 0u64, 0u64);
-            let mut seq = 0u64;
-            for item in chunk {
-                let mut emitter = Emitter {
-                    out: &mut out,
-                    emitted,
-                };
-                map_fn(item, &mut emitter);
-                emitted = emitter.emitted;
-                // Budget check after every input record: O(1) while under
-                // budget; over it, every non-empty destination buffer is
-                // presorted and written out as one sorted run file.
-                if let Some((dir, budget, kc, vc)) = &spill {
-                    let buffered = (emitted - spilled_pairs) as usize;
-                    if buffered * std::mem::size_of::<(K, V)>() > *budget {
-                        for (dst, buf) in out.iter_mut().enumerate() {
-                            if buf.is_empty() {
-                                continue;
-                            }
-                            crate::radix::sort_pairs(buf, &mut scratch);
-                            let name = format!("m{w}-d{dst}-s{seq}.run");
-                            seq += 1;
-                            let run = write_run(dir, &name, buf, kc, vc)?;
-                            spilled_pairs += buf.len() as u64;
-                            spilled_bytes += run.bytes;
-                            spilled_runs += 1;
-                            runs[dst].push(run);
-                            buf.clear();
-                        }
-                    }
-                }
+    // Each map worker hands the shuffle its sorted RAM remainders (one per
+    // destination), its emitted-pair count and its spiller, which holds the
+    // runs it wrote.
+    let mapped: Vec<Result<_, SpillError>> = ctx.pool().run_per_worker(chunks, |w, chunk| {
+        let mut out: Vec<Vec<(K, V)>> = (0..workers).map(|_| Vec::new()).collect();
+        let mut spiller = spill
+            .as_ref()
+            .map(|(dir, cap, kc, vc)| RunSpiller::new(dir, *kc, *vc, *cap, w, workers));
+        // One radix scratch serves all of this worker's destination
+        // buffers (it cannot be parked in the ExecCtx: `(K, V)` may
+        // borrow non-'static data, which the TypeId-keyed scratch cache
+        // cannot hold).
+        let mut scratch: Vec<(K, V)> = Vec::new();
+        let no_fold: Option<&fn(&mut V, V)> = None;
+        let mut emitted = 0u64;
+        for item in chunk {
+            let mut emitter = Emitter {
+                out: &mut out,
+                emitted,
+            };
+            map_fn(item, &mut emitter);
+            emitted = emitter.emitted;
+            if let Some(spiller) = spiller.as_mut() {
+                spiller.maybe_spill(emitted, &mut out, &mut scratch, no_fold)?;
             }
-            // Presort the remainders per destination so that the reduce side
-            // only k-way-merges: the sort work runs here, parallel across
-            // all map workers.
-            for buf in out.iter_mut() {
-                crate::radix::sort_pairs(buf, &mut scratch);
-            }
-            Ok(MapSide {
-                out,
-                runs,
-                spilled_pairs,
-                spilled_bytes,
-                spilled_runs,
-            })
-        });
-    let mapped: Vec<MapSide<K, V>> = mapped
+        }
+        // Presort the remainders per destination so that the reduce side
+        // only k-way-merges: the sort work runs here, parallel across
+        // all map workers.
+        for buf in out.iter_mut() {
+            presort(buf, &mut scratch, no_fold);
+        }
+        Ok((out, emitted, spiller))
+    });
+    let mapped: Vec<(_, u64, Option<RunSpiller<K, V>>)> = mapped
         .into_iter()
         .collect::<Result<_, _>>()
         .unwrap_or_else(|e| std::panic::panic_any(EngineError::Spill(e)));
 
-    // ---- shuffle: transpose the per-source buffers to per-destination,
-    // keeping each destination's sources in worker order (each source's runs
-    // in spill order, its RAM remainder last — the tie-break order the merge
-    // relies on).
-    let mut pairs_shuffled = 0u64;
-    let (mut spilled_bytes, mut spilled_runs) = (0u64, 0u64);
-    let mut incoming: Vec<ShuffleSources<K, V>> =
+    // ---- shuffle: transpose the per-sender buffers and runs to
+    // per-destination shares, senders in worker order (the tie-break order
+    // the merge relies on).
+    let (mut pairs_shuffled, mut spilled_bytes, mut spilled_runs) = (0u64, 0u64, 0u64);
+    let mut incoming: Vec<Vec<Share<K, V>>> =
         (0..workers).map(|_| Vec::with_capacity(workers)).collect();
-    let mut spill_active = false;
-    for side in mapped {
-        pairs_shuffled += side.spilled_pairs;
-        spilled_bytes += side.spilled_bytes;
-        spilled_runs += side.spilled_runs;
-        for (dst, (runs, buf)) in side.runs.into_iter().zip(side.out).enumerate() {
-            pairs_shuffled += buf.len() as u64;
-            spill_active |= !runs.is_empty();
-            incoming[dst].push((runs, buf));
-        }
+    for (out, emitted, mut spiller) in mapped {
+        pairs_shuffled += emitted;
+        let runs = spiller.as_mut().map(|spiller| {
+            let (bytes, runs) = spiller.take_counters();
+            spilled_bytes += bytes;
+            spilled_runs += runs;
+            spiller.take_runs()
+        });
+        kmerge::deal(&mut incoming, runs.unwrap_or_default(), out);
     }
 
     // Cooperative control poll at the map→reduce barrier (the pass's one BSP
@@ -320,56 +269,29 @@ where
         }
     }
 
-    // ---- reduce phase: flat sort-based grouping, then reduce each key run.
-    let codecs = spill.as_ref().map(|(_, _, kc, vc)| (*kc, *vc));
-    let results: Vec<ReduceSide<O>> = ctx.pool().run_per_worker(incoming, |w, srcs| {
-        // K-way merge of the pre-sorted sources straight into one key
-        // per group plus a flat value buffer; each group is the
-        // contiguous value run of its key. This replaces the hash map
-        // *and* the sorted-key pass the hash-based grouping needed for
-        // determinism (ties prefer the lower source, so the merge is
-        // deterministic).
-        let ram_total: usize = srcs.iter().map(|(_, ram)| ram.len()).sum();
-        let mut group_keys: Vec<(K, usize)> = Vec::new();
-        let mut vals: Vec<V> = Vec::with_capacity(ram_total);
-        let mut sink = |k: K, v: V| {
-            let new_group = match group_keys.last() {
-                Some((last, _)) => *last != k,
-                None => true,
-            };
-            if new_group {
-                group_keys.push((k, vals.len()));
-            }
-            vals.push(v);
-        };
-        let mut read_bytes = 0u64;
-        if spill_active {
-            let (kc, vc) = codecs.expect("runs exist only when spilling is armed");
-            let mut sources: Vec<MergeSource<K, V>> = Vec::new();
-            // Keeps the consumed run files alive until the merge
-            // finishes; dropping them afterwards deletes the files.
-            let mut consumed: Vec<DiskRun> = Vec::new();
-            for (runs, ram) in srcs {
-                for run in runs {
-                    sources.push(MergeSource::Disk(RunReader::open(run.path(), kc, vc)?));
-                    consumed.push(run);
+    // ---- reduce phase: merge straight into one key per group plus a flat
+    // value buffer (each group is the contiguous value run of its key), then
+    // reduce each group. No hash map, and no sorted-key pass: the merge is
+    // already deterministic.
+    let results: Vec<Result<_, SpillError>> =
+        ctx.pool().run_per_worker(incoming, |w, mut shares| {
+            let mut group_keys: Vec<(K, usize)> = Vec::new();
+            let mut vals: Vec<V> = Vec::with_capacity(kmerge::records(&shares));
+            let read_bytes = kmerge::merge(&mut shares, |k, v| {
+                if group_keys.last().is_none_or(|(last, _)| *last != k) {
+                    group_keys.push((k, vals.len()));
                 }
-                sources.push(MergeSource::Ram(ram.into_iter()));
+                vals.push(v);
+            })?;
+            drop(shares);
+            let mut out = Vec::new();
+            for g in 0..group_keys.len() {
+                let start = group_keys[g].1;
+                let end = group_keys.get(g + 1).map(|(_, s)| *s).unwrap_or(vals.len());
+                reduce_fn(w, &group_keys[g].0, &mut vals[start..end], &mut out);
             }
-            read_bytes = merge_run_sources(sources, &mut sink)?;
-        } else {
-            let mut bufs: Vec<Vec<(K, V)>> = srcs.into_iter().map(|(_, ram)| ram).collect();
-            crate::kmerge::merge_sorted_buffers(&mut bufs, sink);
-        }
-        let group_count = group_keys.len() as u64;
-        let mut out = Vec::new();
-        for g in 0..group_keys.len() {
-            let start = group_keys[g].1;
-            let end = group_keys.get(g + 1).map(|(_, s)| *s).unwrap_or(vals.len());
-            reduce_fn(w, &group_keys[g].0, &mut vals[start..end], &mut out);
-        }
-        Ok((out, group_count, read_bytes))
-    });
+            Ok((out, group_keys.len() as u64, read_bytes))
+        });
     let mut outputs: Vec<Vec<O>> = Vec::with_capacity(workers);
     let mut groups = 0u64;
     let mut spill_read_bytes = 0u64;

@@ -15,16 +15,17 @@
 //!    per word compare. Outgoing messages are appended to one flat
 //!    buffer per destination worker; before the hand-off each buffer is
 //!    **sorted by destination vertex on the sender side** (a stable LSD radix
-//!    sort over the packed IDs — see [`crate::radix`] — so the sort work is
+//!    sort over the IDs — see [`crate::radix`] — so the sort work is
 //!    spread over all compute threads) and, when the program enables a
 //!    combiner, adjacent duplicates are **combined on the sender side**,
 //!    shrinking shuffle volume exactly like Pregel's sender-side combining
 //!    does over the network.
-//! 2. **shuffle** — each worker takes the pre-sorted buffers addressed to it
-//!    and k-way-merges them (linear, ties broken by source worker — fully
-//!    deterministic) into parallel `ids`/`messages` arrays for next
-//!    superstep's run-walk delivery, applying the combiner across senders
-//!    during the merge.
+//! 2. **shuffle** — each worker takes every sender's share addressed to it
+//!    (spilled runs, if any, then the pre-sorted RAM buffer) and
+//!    k-way-merges them through the one merge in `kmerge` (ties broken by
+//!    source — fully deterministic) into parallel `ids`/`messages` arrays
+//!    for next superstep's run-walk delivery, applying the combiner across
+//!    senders during the merge.
 //!
 //! All buffers — per-destination outboxes, the sorted `ids`/`messages` arrays
 //! and the combine scratch — live in per-worker `WorkerPlane`s reused
@@ -46,14 +47,15 @@
 //! When the [`ExecCtx`] carries a [`SpillPolicy`](crate::SpillPolicy) byte
 //! cap and the program opts in via [`VertexProgram::spill_codecs`], both
 //! sides of the message plane become spillable (see [`crate::spill`]):
-//! outbox fragments that outgrow a per-worker budget are presorted and
-//! written out as sorted **run files**, which the shuffle phase k-way-merges
-//! with the in-RAM remainders (same key order, same source-index tie-breaks
-//! — spilled delivery is byte-identical to resident delivery), and a vertex
-//! store whose resident footprint exceeds the cap at job start is **sealed**
-//! into on-disk extents that the compute phase faults back one window at a
-//! time, in two ascending sweeps that reproduce the resident visit order
-//! exactly.
+//! each worker's run spiller — the one the mini-MapReduce map side uses
+//! too — presorts outbox fragments that outgrow a per-worker budget (folding
+//! them with the combiner) and writes them out as sorted **run files**. The
+//! shuffle phase has one body: a resident superstep is the merge with zero
+//! runs, so spilled delivery is byte-identical to resident delivery. A
+//! vertex store whose resident footprint exceeds the cap at job start is
+//! **sealed** into on-disk extents that the compute phase faults back one
+//! window at a time, in two ascending sweeps that reproduce the resident
+//! visit order exactly.
 //!
 //! This mirrors the bulk-synchronous structure of Pregel+ with the network
 //! replaced by in-memory buffer handoff.
@@ -61,18 +63,12 @@
 use crate::aggregate::Aggregate;
 use crate::engine::{EngineError, ExecCtx};
 use crate::kernels;
+use crate::kmerge::{self, Share};
 use crate::metrics::{Metrics, SuperstepMetrics};
-use crate::spill::{
-    merge_run_sources, write_run, DiskRun, MergeSource, PartSeal, RunReader, SpillCodecs, SpillDir,
-    SpillError,
-};
+use crate::spill::{presort, PartSeal, RunSpiller, SpillCodecs, SpillDir, SpillError};
 use crate::vertex::{Context, VertexKey, VertexProgram};
 use crate::vertex_set::{lower_bound_from, set_bit, RunColumns, VertexSet};
-use std::sync::Arc;
 use std::time::Instant;
-
-/// One `(destination vertex, message)` buffer per destination worker.
-type OutboxColumn<P> = Vec<Vec<(<P as VertexProgram>::Id, <P as VertexProgram>::Message)>>;
 
 /// Reusable per-worker message-plane buffers. Allocated once, reused across
 /// supersteps, and parked in the [`ExecCtx`] scratch cache between jobs so
@@ -144,124 +140,6 @@ struct ComputeCounts<A> {
     spilled_runs: u64,
 }
 
-/// One destination's view of one source worker during a spilled shuffle:
-/// that source's sorted on-disk runs (in spill order) plus its sorted in-RAM
-/// outbox remainder.
-type SpillShuffleSources<P> = Vec<(
-    Vec<DiskRun>,
-    Vec<(<P as VertexProgram>::Id, <P as VertexProgram>::Message)>,
-)>;
-
-/// Per-worker outbox spill state, armed only while a
-/// [`SpillPolicy`](crate::SpillPolicy) byte cap is active and the program
-/// opted in via [`VertexProgram::spill_codecs`].
-///
-/// [`maybe_spill`](OutboxSpill::maybe_spill) is consulted after every
-/// `compute` invocation with the worker's running message count; the
-/// under-budget path is a subtraction and a compare. When the estimated RAM
-/// held by the outbox fragments crosses `budget`, every non-empty
-/// per-destination buffer is presorted (and pre-folded when the program
-/// combines — relying on the combiner associativity the resident plane
-/// already assumes for its sender-side fold + merge fold), written out as
-/// one sorted run file, and cleared. The shuffle phase later k-way-merges
-/// each destination's runs (in spill order) ahead of the RAM remainder, so
-/// the merged inbound stream is identical to the resident path's.
-struct OutboxSpill<P: VertexProgram> {
-    dir: Arc<SpillDir>,
-    codecs: SpillCodecs<P>,
-    /// RAM bytes of buffered outbox records this worker may hold.
-    budget: usize,
-    worker: usize,
-    /// Run files written this superstep, per destination worker.
-    runs: Vec<Vec<DiskRun>>,
-    /// Messages already spilled this superstep (excluded from the estimate).
-    spilled_messages: u64,
-    /// Run-file name sequence, unique per worker within the job.
-    seq: u64,
-    spilled_bytes: u64,
-    spilled_runs: u64,
-}
-
-impl<P: VertexProgram> OutboxSpill<P> {
-    fn new(
-        dir: Arc<SpillDir>,
-        codecs: SpillCodecs<P>,
-        budget: usize,
-        worker: usize,
-        workers: usize,
-    ) -> OutboxSpill<P> {
-        OutboxSpill {
-            dir,
-            codecs,
-            budget,
-            worker,
-            runs: (0..workers).map(|_| Vec::new()).collect(),
-            spilled_messages: 0,
-            seq: 0,
-            spilled_bytes: 0,
-            spilled_runs: 0,
-        }
-    }
-
-    /// Resets the per-superstep RAM estimate (the runner's message counter
-    /// restarts at zero each superstep).
-    fn begin_superstep(&mut self) {
-        self.spilled_messages = 0;
-    }
-
-    /// Spills every non-empty outbox buffer once the RAM estimate crosses
-    /// the budget; O(1) while under it.
-    fn maybe_spill(
-        &mut self,
-        messages_sent: u64,
-        program: &P,
-        outbox: &mut [Vec<(P::Id, P::Message)>],
-        scratch: &mut Vec<(P::Id, P::Message)>,
-    ) -> Result<(), SpillError> {
-        let buffered = messages_sent.saturating_sub(self.spilled_messages) as usize;
-        if buffered * std::mem::size_of::<(P::Id, P::Message)>() <= self.budget {
-            return Ok(());
-        }
-        for (dst, buf) in outbox.iter_mut().enumerate() {
-            if buf.is_empty() {
-                continue;
-            }
-            // Stable presort so the run file is in key order; duplicates are
-            // folded now — per-run prefix folds continued by the merge sink
-            // equal the resident path's single sender-side fold.
-            crate::radix::sort_pairs(buf, scratch);
-            if P::USE_COMBINER {
-                combine_buf(program, buf, scratch);
-            }
-            let name = format!("w{}-d{dst}-s{}.run", self.worker, self.seq);
-            self.seq += 1;
-            let run = write_run(&self.dir, &name, buf, &self.codecs.id, &self.codecs.message)?;
-            self.spilled_bytes += run.bytes;
-            self.spilled_runs += 1;
-            if let Some(slot) = self.runs.get_mut(dst) {
-                slot.push(run);
-            }
-            buf.clear();
-        }
-        self.spilled_messages = messages_sent;
-        Ok(())
-    }
-
-    /// Drains this superstep's run files, grouped by destination worker.
-    fn take_runs(&mut self) -> Vec<Vec<DiskRun>> {
-        let workers = self.runs.len();
-        std::mem::replace(&mut self.runs, (0..workers).map(|_| Vec::new()).collect())
-    }
-
-    /// Drains the write counters: `(bytes written, runs written)`.
-    fn take_counters(&mut self) -> (u64, u64) {
-        let out = (self.spilled_bytes, self.spilled_runs);
-        self.spilled_bytes = 0;
-        self.spilled_runs = 0;
-        out
-    }
-}
-
 /// Per-worker compute-phase state shared by both delivery passes.
 ///
 /// [`compute_slot`](WorkerEnv::compute_slot) is the single place where a
@@ -329,7 +207,7 @@ struct Delivery<'a, P: VertexProgram> {
     in_msgs: &'a mut [P::Message],
     outbox: &'a mut Vec<Vec<(P::Id, P::Message)>>,
     scratch: &'a mut Vec<(P::Id, P::Message)>,
-    ospill: &'a mut Option<OutboxSpill<P>>,
+    spiller: &'a mut Option<RunSpiller<P::Id, P::Message>>,
     next_msg: usize,
     dropped: u64,
 }
@@ -359,10 +237,15 @@ impl<P: VertexProgram> Delivery<'_, P> {
 
     /// Outbox spill check after one `compute` invocation.
     fn check_spill(&mut self, env: &WorkerEnv<'_, P>) -> Result<(), SpillError> {
-        if let Some(os) = self.ospill.as_mut() {
-            os.maybe_spill(env.messages_sent, env.program, self.outbox, self.scratch)?;
+        match self.spiller.as_mut() {
+            Some(spiller) => spiller.maybe_spill(
+                env.messages_sent,
+                self.outbox,
+                self.scratch,
+                combiner(env.program).as_ref(),
+            ),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Pass 1: merge-joins the sorted inbound runs from the read cursor up to
@@ -553,18 +436,17 @@ pub fn run<P: VertexProgram>(
             _ => None,
         };
     let mut seals: Vec<Option<PartSeal<P::Id, P::Value>>> = (0..workers).map(|_| None).collect();
-    let mut ospills: Vec<Option<OutboxSpill<P>>> = (0..workers).map(|_| None).collect();
+    let mut spillers: Vec<Option<RunSpiller<P::Id, P::Message>>> =
+        (0..workers).map(|_| None).collect();
     if let Some((cap, codecs)) = &spill_cfg {
         let dir = SpillDir::create("job")
             .unwrap_or_else(|e| std::panic::panic_any(EngineError::Spill(e)));
-        // Each worker may buffer a quarter of its even share of the cap in
-        // outbox records before writing a run.
-        let budget = ((*cap as usize) / (4 * workers)).max(1);
-        for (w, slot) in ospills.iter_mut().enumerate() {
-            *slot = Some(OutboxSpill::new(
-                Arc::clone(&dir),
-                *codecs,
-                budget,
+        for (w, slot) in spillers.iter_mut().enumerate() {
+            *slot = Some(RunSpiller::new(
+                &dir,
+                codecs.id,
+                codecs.message,
+                *cap,
                 w,
                 workers,
             ));
@@ -605,16 +487,13 @@ pub fn run<P: VertexProgram>(
                 .iter_mut()
                 .zip(planes.iter_mut())
                 .zip(seals.iter_mut())
-                .zip(ospills.iter_mut())
+                .zip(spillers.iter_mut())
                 .collect();
             let results: Vec<Result<ComputeCounts<P::Aggregate>, SpillError>> = ctx
                 .pool()
-                .run_per_worker(worker_inputs, |w, (((part, plane), seal), ospill)| {
+                .run_per_worker(worker_inputs, |w, (((part, plane), seal), spiller)| {
                     if let Some(f) = &faults {
                         f.probe_superstep(superstep, w);
-                    }
-                    if let Some(os) = ospill.as_mut() {
-                        os.begin_superstep();
                     }
                     let mut env: WorkerEnv<'_, P> = WorkerEnv {
                         program,
@@ -636,7 +515,7 @@ pub fn run<P: VertexProgram>(
                         in_msgs: &mut plane.in_msgs,
                         outbox: &mut plane.outbox,
                         scratch: &mut plane.scratch,
-                        ospill: &mut *ospill,
+                        spiller: &mut *spiller,
                         next_msg: 0,
                         dropped: 0,
                     };
@@ -656,22 +535,19 @@ pub fn run<P: VertexProgram>(
                     let messages_dropped = del.dropped;
 
                     // Presort every destination buffer (spreading the
-                    // shuffle's sort work over the compute threads)
-                    // and fold duplicates if the program combines. The
-                    // radix scratch is the plane's combine scratch: both
-                    // uses leave it empty, and the plane is parked in the
-                    // ExecCtx between jobs, so steady-state sorting
-                    // allocates nothing.
+                    // shuffle's sort work over the compute threads) and
+                    // fold duplicates if the program combines — the same
+                    // preparation a spilled run gets. The scratch is left
+                    // empty and the plane is parked in the ExecCtx between
+                    // jobs, so steady-state sorting allocates nothing.
+                    let fold = combiner(program);
                     for buf in plane.outbox.iter_mut() {
-                        crate::radix::sort_pairs(buf, &mut plane.scratch);
-                    }
-                    if P::USE_COMBINER {
-                        combine_outbox(program, plane);
+                        presort(buf, &mut plane.scratch, fold.as_ref());
                     }
                     let (mut spilled_bytes, mut spill_read_bytes, mut spilled_runs) =
                         (0u64, 0u64, 0u64);
-                    if let Some(os) = ospill.as_mut() {
-                        let (written, files) = os.take_counters();
+                    if let Some(spiller) = spiller.as_mut() {
+                        let (written, files) = spiller.take_counters();
                         spilled_bytes += written;
                         spilled_runs += files;
                     }
@@ -765,129 +641,53 @@ pub fn run<P: VertexProgram>(
         metrics.total_cancellation_checks += cancellation_checks;
 
         // ---- shuffle phase (dispatched onto the persistent pool) ------------
+        // Transpose ownership: sender `src` hands its runs and its RAM
+        // buffer for `dst` to `dst`'s merge. Only `Vec` headers move; the
+        // drained buffers come back afterwards so their capacity is reused
+        // next superstep. A resident superstep is the same merge with zero
+        // runs.
         let shuffle_start = Instant::now();
-        // Runs spilled during this superstep's compute, per (source, dest).
-        let step_runs: Vec<Vec<Vec<DiskRun>>> = ospills
-            .iter_mut()
-            .map(|o| o.as_mut().map(OutboxSpill::take_runs).unwrap_or_default())
-            .collect();
-        let spill_shuffle = step_runs
-            .iter()
-            .any(|per| per.iter().any(|r| !r.is_empty()));
-        let mut spill_read_shuffle = 0u64;
-        if spill_shuffle {
-            // Spilled shuffle: each destination merges, per source worker,
-            // that source's disk runs (in spill order) followed by its RAM
-            // remainder. `merge_run_sources` breaks key ties by ascending
-            // source index, and a source's runs partition its emission
-            // sequence in time order, so the merged inbound stream is
-            // byte-identical to the resident k-way merge below.
-            let codecs = match &spill_cfg {
-                Some((_, codecs)) => *codecs,
-                None => unreachable!("spilled runs exist only when spilling is armed"),
-            };
-            let mut per_dst: Vec<SpillShuffleSources<P>> =
-                (0..workers).map(|_| Vec::with_capacity(workers)).collect();
-            for (mut runs_by_dst, plane) in step_runs.into_iter().zip(planes.iter_mut()) {
-                runs_by_dst.resize_with(workers, Vec::new);
-                for (dst, runs) in runs_by_dst.into_iter().enumerate() {
-                    per_dst[dst].push((runs, std::mem::take(&mut plane.outbox[dst])));
-                }
-            }
-            let shuffle_inputs: Vec<_> = planes.iter_mut().zip(per_dst).collect();
-            let merged: Vec<Result<u64, SpillError>> =
-                ctx.pool()
-                    .run_per_worker(shuffle_inputs, |_w, (plane, srcs)| {
-                        plane.in_ids.clear();
-                        plane.in_msgs.clear();
-                        let mut sources: Vec<MergeSource<P::Id, P::Message>> = Vec::new();
-                        // Keeps the consumed run files alive (and on disk) until
-                        // the merge finishes; dropping them afterwards deletes
-                        // the files.
-                        let mut consumed: Vec<DiskRun> = Vec::new();
-                        for (runs, ram) in srcs {
-                            for run in runs {
-                                sources.push(MergeSource::Disk(RunReader::open(
-                                    run.path(),
-                                    codecs.id,
-                                    codecs.message,
-                                )?));
-                                consumed.push(run);
+        let mut inbound: Vec<Vec<Share<P::Id, P::Message>>> =
+            (0..workers).map(|_| Vec::with_capacity(workers)).collect();
+        for (plane, spiller) in planes.iter_mut().zip(spillers.iter_mut()) {
+            let runs = spiller.as_mut().map(RunSpiller::take_runs);
+            let ram = plane.outbox.iter_mut().map(std::mem::take);
+            kmerge::deal(&mut inbound, runs.unwrap_or_default(), ram);
+        }
+        let shuffle_inputs: Vec<_> = planes.iter_mut().zip(inbound).collect();
+        let merged: Vec<Result<_, SpillError>> =
+            ctx.pool()
+                .run_per_worker(shuffle_inputs, |_w, (plane, mut shares)| {
+                    // Ties prefer the lower source, so the merged order is a
+                    // pure function of the deterministic per-sender buffers;
+                    // the combiner folds across senders as records arrive.
+                    plane.in_ids.clear();
+                    plane.in_msgs.clear();
+                    let total = kmerge::records(&shares);
+                    plane.in_ids.reserve(total);
+                    plane.in_msgs.reserve(total);
+                    let (in_ids, in_msgs) = (&mut plane.in_ids, &mut plane.in_msgs);
+                    let read = kmerge::merge(&mut shares, |id, msg| {
+                        if P::USE_COMBINER && in_ids.last() == Some(&id) {
+                            if let Some(acc) = in_msgs.last_mut() {
+                                program.combine(acc, msg);
+                                return;
                             }
-                            sources.push(MergeSource::Ram(ram.into_iter()));
                         }
-                        let (in_ids, in_msgs) = (&mut plane.in_ids, &mut plane.in_msgs);
-                        merge_run_sources(sources, |id, msg| {
-                            if P::USE_COMBINER {
-                                if let Some(last) = in_ids.last() {
-                                    if *last == id {
-                                        let acc = in_msgs.last_mut().expect("parallel arrays");
-                                        program.combine(acc, msg);
-                                        return;
-                                    }
-                                }
-                            }
-                            in_ids.push(id);
-                            in_msgs.push(msg);
-                        })
-                    });
-            for r in merged {
-                spill_read_shuffle +=
-                    r.unwrap_or_else(|e| std::panic::panic_any(EngineError::Spill(e)));
-            }
-            // The spilled path consumed the RAM remainders instead of
-            // borrowing them, so the (src, dst) buffer capacity is rebuilt
-            // next superstep — an accepted cost of spilling supersteps.
-        } else {
-            // Resident shuffle. Transpose outbox buffer ownership: worker
-            // `src` hands its buffer for destination `dst` to `dst`'s shuffle
-            // job. Only `Vec` headers move; the allocations travel to the
-            // shuffle and come back afterwards so their capacity is reused
-            // next superstep.
-            let mut columns: Vec<OutboxColumn<P>> =
-                (0..workers).map(|_| Vec::with_capacity(workers)).collect();
-            for plane in planes.iter_mut() {
-                for (dst, buf) in plane.outbox.iter_mut().enumerate() {
-                    columns[dst].push(std::mem::take(buf));
-                }
-            }
-            let shuffle_inputs: Vec<_> = planes.iter_mut().zip(columns).collect();
-            let returned: Vec<OutboxColumn<P>> =
-                ctx.pool()
-                    .run_per_worker(shuffle_inputs, |_w, (plane, mut bufs)| {
-                        // K-way merge of the pre-sorted source buffers into
-                        // the parallel id/message arrays (ties prefer the
-                        // lower source worker, so the merged order is a pure
-                        // function of the deterministic per-sender buffers).
-                        plane.in_ids.clear();
-                        plane.in_msgs.clear();
-                        let total: usize = bufs.iter().map(|b| b.len()).sum();
-                        plane.in_ids.reserve(total);
-                        plane.in_msgs.reserve(total);
-                        let (in_ids, in_msgs) = (&mut plane.in_ids, &mut plane.in_msgs);
-                        crate::kmerge::merge_sorted_buffers(&mut bufs, |id, msg| {
-                            if P::USE_COMBINER {
-                                if let Some(last) = in_ids.last() {
-                                    if *last == id {
-                                        let acc = in_msgs.last_mut().expect("parallel arrays");
-                                        program.combine(acc, msg);
-                                        return;
-                                    }
-                                }
-                            }
-                            in_ids.push(id);
-                            in_msgs.push(msg);
-                        });
-                        bufs
-                    });
-            // Give every (src, dst) buffer back to its owning worker.
-            for (dst, bufs) in returned.into_iter().enumerate() {
-                for (src, buf) in bufs.into_iter().enumerate() {
-                    planes[src].outbox[dst] = buf;
-                }
+                        in_ids.push(id);
+                        in_msgs.push(msg);
+                    })?;
+                    Ok((shares, read))
+                });
+        for (dst, result) in merged.into_iter().enumerate() {
+            let (shares, read) =
+                result.unwrap_or_else(|e| std::panic::panic_any(EngineError::Spill(e)));
+            spill_read_step += read;
+            // Give every drained (src, dst) buffer back to its owner.
+            for (plane, share) in planes.iter_mut().zip(shares) {
+                plane.outbox[dst] = share.ram;
             }
         }
-        spill_read_step += spill_read_shuffle;
         let shuffle_elapsed = shuffle_start.elapsed();
 
         // ---- metrics & termination ------------------------------------------
@@ -972,34 +772,10 @@ pub fn run<P: VertexProgram>(
     metrics
 }
 
-/// Sender-side combining: folds adjacent messages for the same vertex in the
-/// (already sorted) destination buffers, so that at most one message per
-/// (sender worker, receiving vertex) crosses the shuffle.
-fn combine_outbox<P: VertexProgram>(program: &P, plane: &mut WorkerPlane<P::Id, P::Message>) {
-    for buf in plane.outbox.iter_mut() {
-        combine_buf(program, buf, &mut plane.scratch);
-    }
-}
-
-/// Folds adjacent same-destination messages in one sorted buffer (the unit of
-/// work [`combine_outbox`] applies per destination and the outbox spill
-/// applies to each buffer before writing it out as a run).
-fn combine_buf<P: VertexProgram>(
-    program: &P,
-    buf: &mut Vec<(P::Id, P::Message)>,
-    scratch: &mut Vec<(P::Id, P::Message)>,
-) {
-    if buf.len() < 2 {
-        return;
-    }
-    scratch.clear();
-    for (id, msg) in buf.drain(..) {
-        match scratch.last_mut() {
-            Some(last) if last.0 == id => program.combine(&mut last.1, msg),
-            _ => scratch.push((id, msg)),
-        }
-    }
-    std::mem::swap(buf, scratch);
+/// The program's combiner as a [`presort`] fold; `None` unless it declares
+/// one.
+fn combiner<P: VertexProgram>(program: &P) -> Option<impl Fn(&mut P::Message, P::Message) + '_> {
+    P::USE_COMBINER.then_some(move |acc: &mut P::Message, msg| program.combine(acc, msg))
 }
 
 #[cfg(test)]

@@ -3,14 +3,16 @@
 //! Two independent mechanisms share this module's framing, codecs, and typed
 //! errors:
 //!
-//! * **Shuffle-run spilling** — when a superstep's (or the mini-MapReduce
-//!   map phase's) per-destination outbox grows past its share of the
-//!   [`SpillPolicy`] byte cap, each destination buffer is radix-presorted
-//!   (and pre-combined when the program declares a combiner) and written out
-//!   as one sorted on-disk run (`write_run`). Delivery then merges disk
-//!   runs and the in-RAM remainder with the same key-then-source order as
-//!   the in-memory `kmerge` (`merge_run_sources`), so spilled and
-//!   unspilled executions are byte-identical.
+//! * **Shuffle-run spilling** — one `RunSpiller` per worker serves both
+//!   shuffles, the superstep runner's outboxes and the mini-MapReduce map
+//!   side. Once the worker's buffered estimate crosses its share of the
+//!   [`SpillPolicy`] byte cap, every non-empty per-destination buffer is
+//!   presorted (radix sort, plus the runner's combiner as a fold when
+//!   the program declares one) and written out as one sorted `DiskRun`.
+//!   Delivery hands each destination its senders' runs and RAM remainders,
+//!   and the one k-way merge in `kmerge` reads them in sender order, runs
+//!   before remainder — resident execution is that merge with zero runs,
+//!   so spilled and unspilled executions are byte-identical.
 //! * **Partition column sealing** — when a job starts with
 //!   `store_resident_bytes` above the cap, every `VertexSet` partition
 //!   drains its ID/value/halted/stamp columns into fixed-size *extents*
@@ -32,11 +34,11 @@
 //! directory; the directory and every run/generation file are removed by
 //! RAII `Drop` impls, including on the cancellation unwind path.
 
+use crate::radix::SortKey;
 use crate::vertex::VertexProgram;
 use crate::vertex_set::RunColumns;
 use serde::bin::{FrameError, FrameReader};
 use serde::{Deserialize, Serialize};
-use std::collections::BinaryHeap;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -469,24 +471,35 @@ pub fn read_spill_file<T: SpillCodec>(path: &Path) -> Result<Vec<T>, SpillError>
 }
 
 /// One sorted on-disk shuffle run: `(key, value)` records in ascending key
-/// order, in the shared spill framing. The file is deleted when the handle
-/// drops (delivery consumes runs exactly once).
-pub(crate) struct DiskRun {
+/// order, in the shared spill framing, with the codecs that read it back.
+/// The file is deleted when the handle drops (delivery consumes runs
+/// exactly once).
+pub(crate) struct DiskRun<K, V> {
     path: PathBuf,
     /// Bytes written, including the header.
     pub(crate) bytes: u64,
+    /// Records in the run.
+    pub(crate) records: usize,
+    kc: Codec<K>,
+    vc: Codec<V>,
     /// Keeps the owning directory alive until the run is consumed.
     _dir: Arc<SpillDir>,
 }
 
-impl DiskRun {
-    /// The on-disk location (error reporting, reader construction).
+impl<K, V> DiskRun<K, V> {
+    /// The on-disk location.
+    #[cfg(test)]
     pub(crate) fn path(&self) -> &Path {
         &self.path
     }
+
+    /// A streaming reader over the run.
+    pub(crate) fn open(&self) -> Result<RunReader<K, V>, SpillError> {
+        RunReader::open(&self.path, self.kc, self.vc)
+    }
 }
 
-impl Drop for DiskRun {
+impl<K, V> Drop for DiskRun<K, V> {
     fn drop(&mut self) {
         let _ = std::fs::remove_file(&self.path);
     }
@@ -498,9 +511,9 @@ pub(crate) fn write_run<K, V>(
     dir: &Arc<SpillDir>,
     name: &str,
     records: &[(K, V)],
-    kc: &Codec<K>,
-    vc: &Codec<V>,
-) -> Result<DiskRun, SpillError> {
+    kc: Codec<K>,
+    vc: Codec<V>,
+) -> Result<DiskRun<K, V>, SpillError> {
     let path = dir.file(name);
     let file = std::fs::File::create(&path).map_err(|e| io_err(&path, "create run file", e))?;
     let mut w = BufWriter::new(file);
@@ -527,6 +540,9 @@ pub(crate) fn write_run<K, V>(
     Ok(DiskRun {
         path,
         bytes,
+        records: records.len(),
+        kc,
+        vc,
         _dir: Arc::clone(dir),
     })
 }
@@ -590,80 +606,135 @@ impl<K, V> RunReader<K, V> {
     }
 }
 
-/// One input to [`merge_run_sources`]: either a drained in-RAM sorted buffer
-/// or a streaming disk run.
-pub(crate) enum MergeSource<K, V> {
-    /// Sorted in-memory records (the unspilled remainder of an outbox).
-    Ram(std::vec::IntoIter<(K, V)>),
-    /// A sorted on-disk run.
-    Disk(RunReader<K, V>),
-}
-
-impl<K, V> MergeSource<K, V> {
-    fn next(&mut self) -> Result<Option<(K, V)>, SpillError> {
-        match self {
-            MergeSource::Ram(it) => Ok(it.next()),
-            MergeSource::Disk(r) => r.next(),
+/// Sorts one shuffle buffer by key (the stable radix sort of
+/// [`crate::radix`], so equal keys keep their emission order) and, given a
+/// `fold`, folds each run of equal keys into its first record. The runner's
+/// combiner is the fold; the mini-MapReduce has none. `scratch` is left
+/// empty, capacity kept.
+pub(crate) fn presort<K: SortKey, V>(
+    buf: &mut Vec<(K, V)>,
+    scratch: &mut Vec<(K, V)>,
+    fold: Option<&impl Fn(&mut V, V)>,
+) {
+    crate::radix::sort_pairs(buf, scratch);
+    let Some(fold) = fold else { return };
+    if buf.len() < 2 {
+        return;
+    }
+    scratch.clear();
+    for (k, v) in buf.drain(..) {
+        match scratch.last_mut() {
+            Some(last) if last.0 == k => fold(&mut last.1, v),
+            _ => scratch.push((k, v)),
         }
     }
+    std::mem::swap(buf, scratch);
 }
 
-/// Heap entry ordered by `(key, source index)` — the same tie-break as the
-/// in-memory `kmerge` (equal keys drain lower-indexed sources first), which
-/// is what makes spilled delivery byte-identical to unspilled delivery.
-struct HeapEntry<K, V> {
-    key: K,
-    src: usize,
-    val: V,
+/// One worker's shuffle-run spiller, shared by the runner and the
+/// mini-MapReduce.
+///
+/// The caller consults [`maybe_spill`](RunSpiller::maybe_spill) after each
+/// unit of work with its running count of buffered-or-spilled records; under
+/// budget that is a subtraction and a compare. Once the records buffered
+/// since the last spill outgrow `cap / (4 × workers)` bytes, every non-empty
+/// per-destination buffer is [`presort`]ed, written out as one sorted run,
+/// and cleared. A fold applied per run and continued by the merge equals
+/// one fold over the whole buffer, given the associative combiner the
+/// resident plane already assumes.
+pub(crate) struct RunSpiller<K, V> {
+    dir: Arc<SpillDir>,
+    kc: Codec<K>,
+    vc: Codec<V>,
+    /// RAM bytes of buffered records this worker may hold.
+    budget: usize,
+    worker: usize,
+    /// Runs written since the last [`take_runs`](RunSpiller::take_runs),
+    /// per destination worker, in spill order.
+    runs: Vec<Vec<DiskRun<K, V>>>,
+    /// The caller's record count at the last spill (excluded from the
+    /// estimate).
+    spilled_at: u64,
+    /// Run-file name sequence, unique per worker within the directory.
+    seq: u64,
+    spilled_bytes: u64,
+    spilled_runs: u64,
 }
 
-impl<K: Ord, V> PartialEq for HeapEntry<K, V> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key && self.src == other.src
-    }
-}
-impl<K: Ord, V> Eq for HeapEntry<K, V> {}
-impl<K: Ord, V> PartialOrd for HeapEntry<K, V> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<K: Ord, V> Ord for HeapEntry<K, V> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key).then(self.src.cmp(&other.src))
-    }
-}
-
-/// Merges pre-sorted sources into a single `(key, source)`-ordered stream,
-/// invoking `emit` once per record. Returns the total bytes read from disk
-/// sources. Source order matters: for equal keys, records surface in
-/// ascending source index, so callers must list each sender's runs in spill
-/// order followed by its RAM remainder, senders in worker order.
-pub(crate) fn merge_run_sources<K: Ord, V>(
-    mut sources: Vec<MergeSource<K, V>>,
-    mut emit: impl FnMut(K, V),
-) -> Result<u64, SpillError> {
-    let mut heap = BinaryHeap::with_capacity(sources.len());
-    for (src, s) in sources.iter_mut().enumerate() {
-        if let Some((key, val)) = s.next()? {
-            heap.push(std::cmp::Reverse(HeapEntry { key, src, val }));
+impl<K: SortKey, V> RunSpiller<K, V> {
+    /// A spiller for `worker` of `workers` under a `cap`-byte policy,
+    /// writing into `dir`.
+    pub(crate) fn new(
+        dir: &Arc<SpillDir>,
+        kc: Codec<K>,
+        vc: Codec<V>,
+        cap: u64,
+        worker: usize,
+        workers: usize,
+    ) -> Self {
+        RunSpiller {
+            dir: Arc::clone(dir),
+            kc,
+            vc,
+            // Each worker may buffer a quarter of its even share of the cap
+            // before writing a run.
+            budget: ((cap as usize) / (4 * workers)).max(1),
+            worker,
+            runs: (0..workers).map(|_| Vec::new()).collect(),
+            spilled_at: 0,
+            seq: 0,
+            spilled_bytes: 0,
+            spilled_runs: 0,
         }
     }
-    while let Some(std::cmp::Reverse(HeapEntry { key, src, val })) = heap.pop() {
-        emit(key, val);
-        if let Some(s) = sources.get_mut(src) {
-            if let Some((key, val)) = s.next()? {
-                heap.push(std::cmp::Reverse(HeapEntry { key, src, val }));
+
+    /// Spills every non-empty buffer of `bufs` (one per destination) once
+    /// the records counted by `sent` since the last spill exceed the
+    /// budget; O(1) while under it.
+    pub(crate) fn maybe_spill(
+        &mut self,
+        sent: u64,
+        bufs: &mut [Vec<(K, V)>],
+        scratch: &mut Vec<(K, V)>,
+        fold: Option<&impl Fn(&mut V, V)>,
+    ) -> Result<(), SpillError> {
+        let buffered = sent.saturating_sub(self.spilled_at) as usize;
+        if buffered * std::mem::size_of::<(K, V)>() <= self.budget {
+            return Ok(());
+        }
+        for (dst, (buf, runs)) in bufs.iter_mut().zip(&mut self.runs).enumerate() {
+            if buf.is_empty() {
+                continue;
             }
+            presort(buf, scratch, fold);
+            let name = format!("w{}-d{dst}-s{}.run", self.worker, self.seq);
+            self.seq += 1;
+            let run = write_run(&self.dir, &name, buf, self.kc, self.vc)?;
+            self.spilled_bytes += run.bytes;
+            self.spilled_runs += 1;
+            runs.push(run);
+            buf.clear();
         }
+        self.spilled_at = sent;
+        Ok(())
     }
-    let mut disk_bytes = 0;
-    for s in &sources {
-        if let MergeSource::Disk(r) = s {
-            disk_bytes += r.bytes_read();
-        }
+
+    /// Hands over the runs written so far, per destination, and restarts
+    /// the estimate at a record count of zero (the runner's count restarts
+    /// every superstep).
+    pub(crate) fn take_runs(&mut self) -> Vec<Vec<DiskRun<K, V>>> {
+        self.spilled_at = 0;
+        let workers = self.runs.len();
+        std::mem::replace(&mut self.runs, (0..workers).map(|_| Vec::new()).collect())
     }
-    Ok(disk_bytes)
+
+    /// Drains the write counters: `(bytes written, runs written)`.
+    pub(crate) fn take_counters(&mut self) -> (u64, u64) {
+        let out = (self.spilled_bytes, self.spilled_runs);
+        self.spilled_bytes = 0;
+        self.spilled_runs = 0;
+        out
+    }
 }
 
 /// One append-only partition generation file.
@@ -1180,11 +1251,10 @@ mod tests {
     fn run_roundtrip_streams_in_order() {
         let dir = SpillDir::create("unit").expect("create spill dir");
         let records: Vec<(u64, u64)> = (0..3000).map(|i| (i, i * 31)).collect();
-        let kc = codec_of::<u64>();
-        let vc = codec_of::<u64>();
-        let run = write_run(&dir, "a.run", &records, &kc, &vc).expect("write run");
+        let run = write_run(&dir, "a.run", &records, codec_of(), codec_of()).expect("write run");
         assert!(run.bytes > 0);
-        let mut rd = RunReader::open(run.path(), kc, vc).expect("open run");
+        assert_eq!(run.records, records.len());
+        let mut rd = run.open().expect("open run");
         let mut back = Vec::new();
         while let Some(rec) = rd.next().expect("read record") {
             back.push(rec);
@@ -1201,12 +1271,10 @@ mod tests {
     fn truncated_run_is_a_typed_error() {
         let dir = SpillDir::create("unit").expect("create spill dir");
         let records: Vec<(u64, u64)> = (0..100).map(|i| (i, i)).collect();
-        let kc = codec_of::<u64>();
-        let vc = codec_of::<u64>();
-        let run = write_run(&dir, "t.run", &records, &kc, &vc).expect("write run");
+        let run = write_run(&dir, "t.run", &records, codec_of(), codec_of()).expect("write run");
         let bytes = std::fs::read(run.path()).expect("read back");
         std::fs::write(run.path(), &bytes[..bytes.len() / 2]).expect("truncate");
-        let mut rd = RunReader::open(run.path(), kc, vc).expect("header still intact");
+        let mut rd = run.open().expect("header still intact");
         let err = loop {
             match rd.next() {
                 Ok(Some(_)) => continue,
@@ -1237,25 +1305,62 @@ mod tests {
 
     #[test]
     fn merge_breaks_key_ties_by_source_index() {
+        use crate::kmerge::{merge, Share};
         let dir = SpillDir::create("unit").expect("create spill dir");
-        let kc = codec_of::<u64>();
-        let vc = codec_of::<u64>();
+        let (kc, vc) = (codec_of::<u64>(), codec_of::<u64>());
         // Key 5 appears in every source; values encode the source so the
-        // emission order is observable.
-        let run_a = write_run(&dir, "a.run", &[(1u64, 10u64), (5, 50)], &kc, &vc).expect("run a");
-        let run_b = write_run(&dir, "b.run", &[(5u64, 51u64), (7, 70)], &kc, &vc).expect("run b");
-        let sources = vec![
-            MergeSource::Disk(RunReader::open(run_a.path(), kc, vc).expect("open a")),
-            MergeSource::Disk(RunReader::open(run_b.path(), kc, vc).expect("open b")),
-            MergeSource::Ram(vec![(5u64, 52u64), (6, 60)].into_iter()),
-        ];
+        // emission order is observable. One sender: two runs, then RAM.
+        let run_a = write_run(&dir, "a.run", &[(1u64, 10u64), (5, 50)], kc, vc).expect("run a");
+        let run_b = write_run(&dir, "b.run", &[(5u64, 51u64), (7, 70)], kc, vc).expect("run b");
+        let bytes = run_a.bytes + run_b.bytes;
+        let (path_a, path_b) = (run_a.path().to_path_buf(), run_b.path().to_path_buf());
+        let mut shares = vec![Share {
+            runs: vec![run_a, run_b],
+            ram: vec![(5u64, 52u64), (6, 60)],
+        }];
+        assert_eq!(crate::kmerge::records(&shares), 6);
         let mut merged = Vec::new();
-        let read = merge_run_sources(sources, |k, v| merged.push((k, v))).expect("merge");
+        let read = merge(&mut shares, |k, v| merged.push((k, v))).expect("merge");
         assert_eq!(
             merged,
             vec![(1, 10), (5, 50), (5, 51), (5, 52), (6, 60), (7, 70)]
         );
-        assert_eq!(read, run_a.bytes + run_b.bytes);
+        assert_eq!(read, bytes);
+        assert!(shares[0].runs.is_empty() && shares[0].ram.is_empty());
+        assert!(
+            !path_a.exists() && !path_b.exists(),
+            "merged runs are deleted"
+        );
+    }
+
+    #[test]
+    fn spiller_cuts_runs_only_over_budget_and_folds_them() {
+        let dir = SpillDir::create("unit").expect("create spill dir");
+        // 16-byte records, cap 256 over 2 workers: a 32-byte budget, so the
+        // third buffered record trips a spill.
+        let mut spiller: RunSpiller<u64, u64> =
+            RunSpiller::new(&dir, codec_of(), codec_of(), 256, 0, 2);
+        let sum = |acc: &mut u64, v: u64| *acc += v;
+        let mut bufs = vec![vec![(3u64, 1u64), (1, 1)], Vec::new()];
+        let mut scratch = Vec::new();
+        spiller
+            .maybe_spill(2, &mut bufs, &mut scratch, Some(&sum))
+            .expect("under budget");
+        assert_eq!(bufs[0].len(), 2, "under budget nothing is written");
+        bufs[0].push((3, 5));
+        spiller
+            .maybe_spill(3, &mut bufs, &mut scratch, Some(&sum))
+            .expect("spill");
+        assert!(bufs[0].is_empty());
+        let runs = spiller.take_runs();
+        assert_eq!(runs[0].len(), 1);
+        assert!(runs[1].is_empty(), "empty buffers write no run");
+        assert_eq!(runs[0][0].records, 2, "the fold ran before the write");
+        let (bytes, count) = spiller.take_counters();
+        assert_eq!((bytes, count), (runs[0][0].bytes, 1));
+        let mut rd = runs[0][0].open().expect("open run");
+        assert_eq!(rd.next().expect("read"), Some((1, 1)));
+        assert_eq!(rd.next().expect("read"), Some((3, 6)));
     }
 
     #[test]
